@@ -17,8 +17,11 @@ BENCH_DIFF ?= benchdiff.txt
 # Query side: SimDBLookup/RMASimRun/... Build side: StackDistances,
 # LeadingMissSurface (fused all-(c,w) profile), SimulatePhase (per-phase
 # kernel) and EnvBuild (cold full environment — the headline build-side
-# wall time, also recorded in the CI bench artifact).
-MICRO_BENCH ?= ATDAccess|StackDistances|MLPAnalysis|LeadingMissSurface|SimulatePhase|CurveReduction|TreeReduction16Core|SimDBLookup|SimDBReferenceEval|RMASimRun|RMASimStep|ClusterRun|RMAOverhead|RM3Overhead|EnvBuild|WireEncode|WireDecode|Equilibrium|ScorerCold
+# wall time, also recorded in the CI bench artifact). Serving side:
+# ServeWireHit/ServeWireMissRM2/ServeWireMissRM3 (in-process binary
+# round trips of 256 queries: all cache hits, and cache-off misses served
+# from warm shard curve tables).
+MICRO_BENCH ?= ATDAccess|StackDistances|MLPAnalysis|LeadingMissSurface|SimulatePhase|CurveReduction|TreeReduction16Core|SimDBLookup|SimDBReferenceEval|RMASimRun|RMASimStep|ClusterRun|RMAOverhead|RM3Overhead|EnvBuild|WireEncode|WireDecode|Equilibrium|ScorerCold|ServeWire
 # benchbase and benchdiff must measure under identical flags, or the
 # benchstat comparison is noise.
 MICRO_FLAGS ?= -benchtime=0.2s -count=5
@@ -40,12 +43,20 @@ test:
 test-short:
 	$(GO) test -short -race ./...
 
+# perfbench/ is its own module (replace qosrma => ../), so the root
+# module's vet and qosrmavet never see it: check it from inside too.
 lint: shlint vet-suite
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	@unformatted=$$(cd perfbench && gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed in perfbench/ on:"; echo "$$unformatted"; exit 1; \
+	fi
+	cd perfbench && $(GO) vet ./...
+	cd perfbench && $(GO) run qosrma/cmd/qosrmavet ./...
 
 # The repo-specific analyzer suite (cmd/qosrmavet, docs/analysis.md):
 # determinism, noalloc, shardowned, ctxdeadline and exhaustive over the
@@ -122,12 +133,14 @@ chaos:
 # and equilibrium placement), database builds across worker counts,
 # concurrent service batches vs sequential library calls, the binary
 # decide path vs the JSON one on the same seeded trace, the binary
-# response stream hash across shard/cache layouts, and the Nash solver's
-# equilibrium across solver worker counts and repeated runs.
+# response stream hash across shard/cache layouts, the shard curve
+# tables (cold and warm, cache off) vs the fresh-manager and library
+# paths, and the Nash solver's equilibrium across solver worker counts
+# and repeated runs.
 # Run without -short (these need real database builds) and without caching.
 determinism:
 	$(GO) test -count=1 -run \
-		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestBuildDeterministicAcrossWorkerCounts|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestWireStreamDeterministic' \
+		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestBuildDeterministicAcrossWorkerCounts|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestCurveTableMatchesLibrary|TestWireMatchesJSON|TestWireStreamDeterministic' \
 		./internal/cluster ./internal/equilibrium ./internal/simdb ./internal/service
 
 # Golden-table regression: regenerate the committed paper tables (via

@@ -7,6 +7,7 @@ package qosrma
 
 import (
 	"math"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"qosrma/internal/power"
 	"qosrma/internal/rmasim"
 	"qosrma/internal/sched"
+	"qosrma/internal/service"
 	"qosrma/internal/simdb"
 	"qosrma/internal/simpoint"
 	"qosrma/internal/stats"
@@ -788,4 +790,95 @@ func BenchmarkWireDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// serveWireBatch is the in-process serving benchmarks' batch size: one
+// DecideRequest frame of this many co-phase vectors per round trip.
+const serveWireBatch = 256
+
+// serveWireFrames builds count decide frames of serveWireBatch random
+// co-phase vectors each under one scheme (uniform slack 0.2, unpinned
+// database), drawn over every (bench, phase) pair of db.
+func serveWireFrames(db *simdb.DB, scheme core.Scheme, count int, seed uint64) [][]byte {
+	rng := stats.NewRNG(stats.SeedFrom(seed, "bench/serve-wire"))
+	n := db.Sys.NumCores
+	frames := make([][]byte, count)
+	for f := range frames {
+		req := wire.DecideRequest{
+			Seq:    uint32(f),
+			Scheme: uint8(scheme),
+			NCores: uint8(n),
+			Flags:  wire.FlagSlackUniform,
+			Slack:  0.2,
+		}
+		for q := 0; q < serveWireBatch*n; q++ {
+			id := simdb.BenchID(rng.Intn(db.NumBenches()))
+			req.Apps = append(req.Apps, wire.App{
+				Bench: uint16(id),
+				Phase: uint16(rng.Intn(db.Benches[id].Analysis.NumPhases)),
+			})
+		}
+		frames[f] = wire.AppendDecideRequest(nil, &req)
+	}
+	return frames
+}
+
+// benchServeWire times ServeWire round trips over loopback against an
+// in-process server: each op writes one frame, cycling through frames,
+// and reads its DecideResponse. Every frame is sent once before the
+// timer starts, which fills the decision cache (when on) and the shard
+// curve tables. One op is one batch.
+func benchServeWire(b *testing.B, cacheSize int, frames [][]byte) {
+	srv := service.New(benchEnv(b).DB4, nil, service.Options{CacheSize: cacheSize})
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.ServeWire(ln) //nolint:errcheck // returns when srv.Close closes the listener
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	r := wire.NewReader(conn)
+	roundTrip := func(frame []byte) {
+		if _, err := conn.Write(frame); err != nil {
+			b.Fatal(err)
+		}
+		typ, _, err := r.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if typ != wire.TypeDecideResponse {
+			b.Fatalf("frame type %#x, want DecideResponse", typ)
+		}
+	}
+	for _, f := range frames {
+		roundTrip(f)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip(frames[i%len(frames)])
+	}
+}
+
+// BenchmarkServeWireHit is the decision-cache hit path end to end in
+// process: one 256-query RM2 frame, repeated, every query an LRU hit.
+func BenchmarkServeWireHit(b *testing.B) {
+	benchServeWire(b, 0, serveWireFrames(benchEnv(b).DB4, core.SchemeCoordDVFSCache, 1, 1))
+}
+
+// BenchmarkServeWireMissRM2 is the RM2 miss path with the curve tables
+// warm: the cache is off, so every query reads its curves from the table
+// and runs the way-allocation DP.
+func BenchmarkServeWireMissRM2(b *testing.B) {
+	benchServeWire(b, -1, serveWireFrames(benchEnv(b).DB4, core.SchemeCoordDVFSCache, 16, 2))
+}
+
+// BenchmarkServeWireMissRM3 is BenchmarkServeWireMissRM2 under RM3 (the
+// curve build it saves is ~30x dearer than RM2's).
+func BenchmarkServeWireMissRM3(b *testing.B) {
+	benchServeWire(b, -1, serveWireFrames(benchEnv(b).DB4, core.SchemeCoordCoreDVFSCache, 16, 3))
 }

@@ -244,6 +244,21 @@ func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, b
 	return alloc, true
 }
 
+// ReduceInto is the coordinated schemes' global step: it allocates
+// totalWays across the curves (AllocateWaysInto in ws) and converts the
+// allocation into per-core settings written into dst's backing array
+// when it is large enough (nil allocates a fresh slice). It returns
+// false, leaving dst untouched, when no feasible allocation exists.
+// Manager.Decide/DecideAll and the decision service's curve-table path
+// both end here, so a set of curves reduces to one answer either way.
+func ReduceInto(dst []arch.Setting, curves []*Curve, totalWays int, ws *WaysScratch) ([]arch.Setting, bool) {
+	alloc, ok := AllocateWaysInto(curves, totalWays, ws)
+	if !ok {
+		return nil, false
+	}
+	return SettingsFromCurvesInto(dst, curves, alloc), true
+}
+
 // IdleCurve returns a zero-cost energy curve standing in for an unoccupied
 // core: every way count, including zero, is feasible at zero energy, so the
 // global reduction hands idle cores exactly the surplus ways the occupied

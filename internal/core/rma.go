@@ -134,7 +134,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m.localOpts = make([]LocalOptions, n)
 	for i := range m.localOpts {
-		m.localOpts[i] = m.computeLocalOptions(i)
+		m.localOpts[i] = SchemeLocalOptions(cfg.Sys, cfg.Scheme, cfg.Slack[i])
 	}
 	return m
 }
@@ -227,16 +227,18 @@ func (m *Manager) FeedbackFor(core int) *FeedbackTable {
 	return m.feedback[core]
 }
 
-// computeLocalOptions derives the per-core search space for the configured
-// scheme; NewManager precomputes it once per core (localOptions reads it).
-func (m *Manager) computeLocalOptions(core int) LocalOptions {
-	sys := m.cfg.Sys
-	maxWays := sys.LLC.Assoc - (sys.NumCores - 1)
+// SchemeLocalOptions is the per-core search space of a scheme on sys
+// for a core with the given QoS slack: the (size, frequency) candidates,
+// the frequency rule and the way cap that leaves every co-runner one way.
+// It is the single definition the Manager (once per core, in NewManager)
+// and the decision service's curve table share, so a curve built from it
+// is the curve DecideAll would build for that core.
+func SchemeLocalOptions(sys arch.SystemConfig, scheme Scheme, slack float64) LocalOptions {
 	opt := LocalOptions{
-		Slack:   m.cfg.Slack[core],
-		MaxWays: maxWays,
+		Slack:   slack,
+		MaxWays: sys.LLC.Assoc - (sys.NumCores - 1),
 	}
-	switch m.cfg.Scheme {
+	switch scheme {
 	case SchemeStatic:
 		// Static never re-decides — Decide answers before consulting the
 		// search space — so only the shape matters: pin the baseline point.
@@ -254,7 +256,7 @@ func (m *Manager) computeLocalOptions(core int) LocalOptions {
 		opt.MinEnergyFreq = true
 	}
 	if opt.Freqs == nil {
-		// Materialize the "all frequencies" default once per manager so
+		// Materialize the "all frequencies" default once so
 		// BuildCurveInto never allocates the index slice per invocation.
 		opt.Freqs = make([]int, len(sys.DVFS))
 		for i := range opt.Freqs {
@@ -336,11 +338,11 @@ func (m *Manager) Decide(invoker int, st *IntervalStats) ([]arch.Setting, bool) 
 			return nil, false
 		}
 	}
-	alloc, ok := AllocateWaysInto(curves, sys.LLC.Assoc, &m.ways)
+	settings, ok := ReduceInto(m.settings, curves, sys.LLC.Assoc, &m.ways)
 	if !ok {
 		return nil, false
 	}
-	m.settings = SettingsFromCurvesInto(m.settings, curves, alloc)
+	m.settings = settings
 	for i := range m.settings {
 		if !m.occupied[i] {
 			// Nothing executes on a vacant core; park it at the baseline
@@ -456,11 +458,11 @@ func (m *Manager) DecideAll(st []*IntervalStats) ([]arch.Setting, bool) {
 	}
 	m.pred.Feedback = nil
 	curves := m.decisionCurves()
-	alloc, ok := AllocateWaysInto(curves, sys.LLC.Assoc, &m.ways)
+	settings, ok := ReduceInto(m.settings, curves, sys.LLC.Assoc, &m.ways)
 	if !ok {
 		return nil, false
 	}
-	m.settings = SettingsFromCurvesInto(m.settings, curves, alloc)
+	m.settings = settings
 	for i := range m.settings {
 		if !m.occupied[i] {
 			m.settings[i] = sys.BaselineSetting()

@@ -7,10 +7,19 @@ import (
 
 // Pins backing the //qosrma:noalloc annotations on the shard worker: a
 // warm shard answers a repeated query without allocating (process, cache
-// hit) and recomputes with exactly one allocation (compute — the
-// defensive settings copy DecideAll returns).
+// hit) and recomputes with exactly one allocation (compute and the curve
+// table's decide — the fresh settings slice the cache retains), on the
+// table path (rm1/rm2/rm3) and the manager path alike (dvfs; UCP's
+// lookahead allocates its own scratch and is not pinned).
 
 func testShardQuery(t *testing.T) (*Server, *shard, *decideQuery) {
+	t.Helper()
+	return testShardQueryFor(t, "")
+}
+
+// testShardQueryFor resolves a one-bench co-phase query under a scheme
+// against a fresh single-shard server.
+func testShardQueryFor(t *testing.T, scheme string) (*Server, *shard, *decideQuery) {
 	t.Helper()
 	db := testDB(t)
 	srv := New(db, nil, Options{Shards: 1})
@@ -20,7 +29,7 @@ func testShardQuery(t *testing.T) (*Server, *shard, *decideQuery) {
 	for i := range apps {
 		apps[i] = AppQuery{Bench: db.BenchName(0), Phase: 0}
 	}
-	q, err := resolveQuery(sn, &DecideQuery{Apps: apps})
+	q, err := resolveQuery(sn, &DecideQuery{Scheme: scheme, Apps: apps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +37,32 @@ func testShardQuery(t *testing.T) (*Server, *shard, *decideQuery) {
 }
 
 func TestShardComputeSteadyStateAllocs(t *testing.T) {
-	_, sh, q := testShardQuery(t)
-	if res := sh.compute(q); !res.decided {
-		t.Fatal("warm-up compute made no decision")
+	for _, scheme := range []string{"rm1", "rm2", "rm3", "dvfs"} {
+		_, sh, q := testShardQueryFor(t, scheme)
+		if res := sh.compute(q); !res.decided {
+			t.Fatalf("%s: warm-up compute made no decision", scheme)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			sh.compute(q)
+		})
+		if got != 1 {
+			t.Fatalf("%s: shard.compute allocated %.0f times per call, want exactly 1 (the settings slice)", scheme, got)
+		}
+	}
+}
+
+// TestCurveTableWarmDecideAllocs pins the table path on its own: once a
+// query's curves are built, decide allocates only the settings slice.
+func TestCurveTableWarmDecideAllocs(t *testing.T) {
+	_, sh, q := testShardQueryFor(t, "rm3")
+	if _, ok := sh.table.decide(q); !ok {
+		t.Fatal("warm-up table decide made no decision")
 	}
 	got := testing.AllocsPerRun(100, func() {
-		sh.compute(q)
+		sh.table.decide(q)
 	})
 	if got != 1 {
-		t.Fatalf("shard.compute allocated %.0f times per call, want exactly 1 (DecideAll's settings copy)", got)
+		t.Fatalf("curveTable.decide allocated %.0f times per warm call, want exactly 1 (the settings slice)", got)
 	}
 }
 

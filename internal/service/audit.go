@@ -1,13 +1,17 @@
 // Self-audit: the live re-verification of the service's central
-// invariant — every cached decision must be bit-identical to a fresh
-// library computation. An audit fans one task per shard through the same
-// channels decide queries use, so the shard worker itself samples its own
-// LRU (preserving single-goroutine ownership of the cache) and recomputes
-// each sampled entry on the trusted slow path (computeFresh: a brand-new
-// manager, fresh statistics, nothing pooled). Go's randomized map
-// iteration makes each audit a fresh random sample for free. A mismatch
-// means shard-local pooled state leaked into an answer — exactly the bug
-// class the architecture promises away — and degrades /v1/healthz to 503.
+// invariant — every cached decision, and every answer the shard's curve
+// table and manager pool would give now, must be bit-identical to a
+// fresh library computation. An audit fans one task per shard through the
+// same channels decide queries use, so the shard worker itself samples
+// its own LRU (preserving single-goroutine ownership of the cache and the
+// table), recomputes each sampled entry on the trusted slow path
+// (computeFresh: a brand-new manager, fresh statistics, nothing pooled)
+// and compares it with both the cached answer and the shard's current
+// recomputation (shard.compute, which reads the curve table). Go's
+// randomized map iteration makes each audit a fresh random sample for
+// free. A mismatch means shard-local derived state leaked into an answer
+// — exactly the bug class the architecture promises away — and degrades
+// /v1/healthz to 503.
 package service
 
 import (
@@ -29,9 +33,11 @@ type auditShardReport struct {
 	mismatches int
 }
 
-// runAudit executes on the shard worker, which owns the LRU: it samples
-// up to quota cached entries in randomized map order and recomputes each
-// from scratch against the snapshot the cache was built from.
+// runAudit executes on the shard worker, which owns the LRU and the
+// curve table: it samples up to quota cached entries in randomized map
+// order and recomputes each from scratch against the snapshot the cache
+// was built from. An entry counts as one mismatch when either the cached
+// answer or the shard's own recomputation differs from the fresh one.
 func (sh *shard) runAudit(a *auditTask) {
 	var r auditShardReport
 	sh.lru.each(func(e *lruEntry) bool {
@@ -39,7 +45,8 @@ func (sh *shard) runAudit(a *auditTask) {
 			return false
 		}
 		r.sampled++
-		if !computeFresh(sh.sn, e.q).equal(e.res) {
+		fresh := computeFresh(sh.sn, e.q)
+		if !fresh.equal(e.res) || !fresh.equal(sh.compute(e.q)) {
 			r.mismatches++
 		}
 		return true

@@ -3,28 +3,38 @@
 // routed — one task per query — to a shard picked by hashing the query's
 // canonical co-phase key. Each shard runs one worker goroutine that
 // drains its queue in micro-batches and owns everything the hot path
-// touches: the decision LRU, the per-configuration managers with their
-// reusable curve buffers, and the per-core IntervalStats scratch. Nothing
-// on the compute path locks or allocates beyond the response itself, and
-// because every query's curves are rebuilt from its own statistics
-// (core.Manager.DecideAll), answers are bit-identical to direct library
-// calls regardless of shard count, batch size, cache state or arrival
-// order — the service's central invariant, pinned by
-// TestDecideMatchesLibrary and TestConcurrentDecideDeterministic, and
-// continuously re-verified in production by the self-checker (audit.go).
+// touches: the decision LRU, the curve table, the per-configuration
+// managers and the per-core IntervalStats scratch. Nothing on the
+// compute path locks.
+//
+// A cache miss is computed one of two ways. The coordinated schemes
+// (RM1/RM2/RM3) read each core's energy curve from the shard's curve
+// table (curvetable.go), which builds a curve the first time its (bench,
+// phase, scheme, model, slack) is needed, and run the way-allocation DP
+// over them; a warm miss allocates only the settings slice it returns.
+// Static, DVFS-only and UCP run core.Manager.DecideAll on a pooled
+// manager. Both paths use the search space and reduction the library
+// uses, so answers are bit-identical to direct library calls regardless
+// of shard count, batch size, cache or table state and arrival order —
+// the service's central invariant, pinned by TestDecideMatchesLibrary,
+// TestCurveTableMatchesLibrary and TestConcurrentDecideDeterministic,
+// and continuously re-verified in production by the self-checker
+// (audit.go).
 //
 // Hot-swap discipline: a task carries the snapshot its request resolved
 // against. The worker adopts a newer snapshot the first time it sees one
-// (dropping its LRU and manager pool, which were derived from the old
-// database); a task older than the shard's snapshot — a request that
-// resolved just before a swap landed — is answered correctly against its
-// own snapshot, bypassing the cache, so mixed-generation traffic never
-// mixes cached state.
+// (dropping its LRU, curve table and manager pool, which were derived
+// from the old database); a task older than the shard's snapshot — a
+// request that resolved just before a swap landed — is answered correctly
+// against its own snapshot on the fresh-manager path (computeFresh),
+// bypassing the cache, so mixed-generation traffic never mixes cached
+// state.
 package service
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -169,14 +179,15 @@ type shard struct {
 
 	// sn is the snapshot the shard-local state below was derived from;
 	// only the worker touches it after construction.
-	sn   *snapshot
-	lru  *lru
-	mgrs map[managerKey]*core.Manager
+	sn    *snapshot
+	lru   *lru
+	table *curveTable
+	mgrs  map[managerKey]*core.Manager
 
-	// Reusable per-core statistics buffers; pointers alias the buffers and
-	// are re-filled before every DecideAll (the manager retains them only
-	// until the next call, exactly like the RMA simulator's per-core
-	// buffers).
+	// Reusable per-core statistics buffers for the manager path; pointers
+	// alias the buffers and are re-filled before every DecideAll (the
+	// manager retains them only until the next call, exactly like the RMA
+	// simulator's per-core buffers).
 	stats    []core.IntervalStats
 	statPtrs []*core.IntervalStats
 
@@ -189,12 +200,13 @@ type shard struct {
 }
 
 // adopt rebuilds the shard-local derived state for a snapshot: a fresh
-// LRU and manager pool (both encode database content) and statistics
-// scratch sized to the system.
+// LRU, curve table and manager pool (all encode database content) and
+// statistics scratch sized to the system. Nothing is built eagerly.
 func (sh *shard) adopt(sn *snapshot) {
 	n := sn.db.Sys.NumCores
 	sh.sn = sn
 	sh.lru = newLRU(sh.srv.opt.CacheSize)
+	sh.table = newCurveTable(sn)
 	sh.mgrs = make(map[managerKey]*core.Manager, 8)
 	sh.stats = make([]core.IntervalStats, n)
 	sh.statPtrs = make([]*core.IntervalStats, n)
@@ -269,8 +281,8 @@ func resolveQuery(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
 		}
 	}
 	for i, v := range slack {
-		if v < 0 {
-			return nil, fmt.Errorf("slack[%d] = %g is negative", i, v)
+		if err := checkSlack(i, v); err != nil {
+			return nil, err
 		}
 	}
 
@@ -294,6 +306,20 @@ func resolveQuery(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
 	rq.cfg = managerKey{scheme: scheme, model: model, slackKey: slackKeyOf(slack)}
 	rq.key = appendQueryKey(make([]byte, 0, 64), rq.cfg, rq.ids, rq.phases)
 	return rq, nil
+}
+
+// checkSlack validates one core's slack: a finite, non-negative
+// fraction. NaN and +Inf would otherwise pass a plain sign test and
+// switch QoS off: every setting then compares as meeting its target, so
+// each core drops to the cheapest frequency.
+func checkSlack(i int, v float64) error {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return fmt.Errorf("slack[%d] = %g is not finite", i, v)
+	case v < 0:
+		return fmt.Errorf("slack[%d] = %g is negative", i, v)
+	}
+	return nil
 }
 
 // slackKeyOf renders the canonical slack-vector key ("" for all-zero) —
@@ -383,9 +409,14 @@ func newManager(sn *snapshot, q *decideQuery) *core.Manager {
 // manager returns the shard's manager for the configuration, building it
 // on first use. Managers are retained: their per-core curve buffers are
 // the shard-local reuse that keeps repeated decisions allocation-free.
+// The pool holds at most maxShardConfigs managers and is dropped whole
+// when a new configuration would exceed that.
 func (sh *shard) manager(q *decideQuery) *core.Manager {
 	m, ok := sh.mgrs[q.cfg]
 	if !ok {
+		if len(sh.mgrs) >= maxShardConfigs {
+			clear(sh.mgrs)
+		}
 		m = newManager(sh.sn, q)
 		sh.mgrs[q.cfg] = m
 	}
@@ -393,17 +424,25 @@ func (sh *shard) manager(q *decideQuery) *core.Manager {
 }
 
 // compute runs the library decision for one query against the shard's
-// adopted snapshot, using the shard's reusable scratch.
+// adopted snapshot: coordinated schemes from the curve table, the others
+// on a pooled manager with the shard's reusable statistics scratch.
 //
 //qosrma:noalloc
 func (sh *shard) compute(q *decideQuery) decideResult {
 	db := sh.sn.db
-	n := db.Sys.NumCores
-	for i := 0; i < n; i++ {
-		FillOracleStats(db, q.ids[i], q.phases[i], i, &sh.stats[i])
-		sh.statPtrs[i] = &sh.stats[i]
+	var (
+		settings []arch.Setting
+		ok       bool
+	)
+	if tableScheme(q.cfg.scheme) {
+		settings, ok = sh.table.decide(q)
+	} else {
+		for i := range sh.stats {
+			FillOracleStats(db, q.ids[i], q.phases[i], i, &sh.stats[i])
+			sh.statPtrs[i] = &sh.stats[i]
+		}
+		settings, ok = sh.manager(q).DecideAll(sh.statPtrs)
 	}
-	settings, ok := sh.manager(q).DecideAll(sh.statPtrs)
 	if !ok {
 		settings = baselineSettings(db)
 	}
@@ -412,9 +451,10 @@ func (sh *shard) compute(q *decideQuery) decideResult {
 
 // computeFresh runs the library decision for one query with nothing
 // pooled: a fresh manager and fresh statistics, all derived from the
-// given snapshot. This is the slow, trusted path — it answers
-// stale-generation tasks after a hot-swap and recomputes the reference
-// answers the self-checker compares cached decisions against.
+// given snapshot. This is the slow, trusted path, independent of the
+// curve table — it answers stale-generation tasks after a hot-swap and
+// recomputes the reference answers the self-checker compares cached and
+// table decisions against.
 func computeFresh(sn *snapshot, q *decideQuery) decideResult {
 	db := sn.db
 	n := db.Sys.NumCores

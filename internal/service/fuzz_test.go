@@ -1,10 +1,13 @@
 package service
 
 import (
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"qosrma/internal/wire"
 )
 
 // fuzzServer memoizes one server for the whole fuzz run; the handlers are
@@ -50,6 +53,53 @@ func FuzzDecideRequest(f *testing.F) {
 		}
 		if rec.Code != 200 && rec.Code != 400 {
 			t.Fatalf("body %q answered unexpected status %d", body, rec.Code)
+		}
+	})
+}
+
+// FuzzWireDecideFrame is FuzzDecideRequest for the binary codec: any
+// DecideRequest payload either fails to parse, is refused by
+// resolveWireQueries, or resolves to queries whose every slack is finite
+// and non-negative and which decide to one full settings vector each.
+// JSON cannot carry NaN or Inf; a wire frame can, so the seed corpus
+// (testdata/fuzz/FuzzWireDecideFrame) includes non-finite slacks.
+func FuzzWireDecideFrame(f *testing.F) {
+	apps := []wire.App{{Bench: 0}, {Bench: 1}, {Bench: 2}, {Bench: 3}}
+	for _, req := range []wire.DecideRequest{
+		{Seq: 1, Scheme: 3, NCores: 4, Apps: apps},
+		{Seq: 2, Scheme: 4, NCores: 4, Flags: wire.FlagSlackUniform, Slack: 0.2, Apps: apps},
+		{Seq: 3, Scheme: 3, NCores: 4, Flags: wire.FlagSlackUniform, Slack: math.NaN(), Apps: apps},
+		{Seq: 4, Scheme: 2, NCores: 4, Flags: wire.FlagSlackUniform, Slack: math.Inf(1), Apps: apps},
+		{Seq: 5, Scheme: 3, NCores: 4, Flags: wire.FlagSlackPerCore, Slacks: []float64{0, 0.1, math.Inf(-1), 0.3}, Apps: apps},
+	} {
+		f.Add(wire.AppendDecideRequest(nil, &req)[wire.HeaderSize:])
+	}
+
+	srv := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var sc wireScratch
+		if wire.ParseDecideRequest(payload, &sc.req) != nil {
+			return
+		}
+		sn := srv.snap.Load()
+		count, _, err := srv.resolveWireQueries(sn, &sc)
+		if err != nil {
+			return
+		}
+		for _, q := range sc.qptrs[:count] {
+			for c, v := range q.slack {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("resolved query kept slack[%d] = %g", c, v)
+				}
+			}
+		}
+		if err := srv.decideInto(sn, sc.qptrs[:count], sc.results[:count], true); err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range sc.results[:count] {
+			if len(res.settings) != sn.db.Sys.NumCores {
+				t.Fatalf("query %d answered %d settings", i, len(res.settings))
+			}
 		}
 	})
 }

@@ -6,9 +6,9 @@
 // consistent state: a reload can never produce a torn response. In-flight
 // requests finish on the snapshot they started with; requests arriving
 // after the swap see the new one. Shard-local derived state (decision
-// LRU, manager pool, statistics scratch) is keyed by snapshot generation
-// and rebuilt by the owning worker the first time it sees a newer
-// snapshot — no locks are added to the hot path.
+// LRU, curve table, manager pool, statistics scratch) is keyed by
+// snapshot generation and rebuilt by the owning worker the first time it
+// sees a newer snapshot — no locks are added to the hot path.
 package service
 
 import (
@@ -39,6 +39,11 @@ type snapshot struct {
 	source string
 	// loaded is when this snapshot became current.
 	loaded time.Time
+	// pairBase is the prefix sum of the benchmarks' phase counts: the
+	// dense index of (id, phase) is pairBase[id]+phase, and
+	// pairBase[len(db.Benches)] is the number of pairs. Shard curve
+	// tables size their rows by it.
+	pairBase []int
 }
 
 // errNoReloader answers /admin/reload when the server has no configured
@@ -53,22 +58,32 @@ func (s *Server) newSnapshot(db *simdb.DB, source string) *snapshot {
 	// fingerprint, and a zero is simply never matched by clients.
 	h64, _ := strconv.ParseUint(hash, 16, 64)
 	return &snapshot{
-		gen:    s.gen.Add(1),
-		db:     db,
-		scorer: newScoreState(db),
-		hash:   hash,
-		hash64: h64,
-		source: source,
-		loaded: time.Now(),
+		gen:      s.gen.Add(1),
+		db:       db,
+		scorer:   newScoreState(db),
+		hash:     hash,
+		hash64:   h64,
+		source:   source,
+		loaded:   time.Now(),
+		pairBase: pairBaseOf(db),
 	}
+}
+
+// pairBaseOf builds a database's dense (bench, phase) index.
+func pairBaseOf(db *simdb.DB) []int {
+	base := make([]int, len(db.Benches)+1)
+	for id, b := range db.Benches {
+		base[id+1] = base[id] + b.Analysis.NumPhases
+	}
+	return base
 }
 
 // Swap atomically replaces the serving snapshot with a new one built over
 // db. In-flight requests complete on the snapshot they resolved against;
 // requests arriving after Swap returns see the new database. Each shard
-// worker drops its decision LRU and manager pool the first time it
-// processes a query of the new generation. Returns the new snapshot's
-// content hash and generation.
+// worker drops its decision LRU, curve table and manager pool the first
+// time it processes a query of the new generation. Returns the new
+// snapshot's content hash and generation.
 func (s *Server) Swap(db *simdb.DB, source string) (hash string, gen uint64) {
 	sn := s.newSnapshot(db, source)
 	s.snap.Store(sn)

@@ -370,7 +370,8 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 
 	// Slack resolution mirrors resolveQuery exactly: a uniform slack of
 	// zero is the nil (no-slack) configuration, a per-core vector is taken
-	// verbatim (even all-zero), negatives are rejected.
+	// verbatim (even all-zero), negatives and non-finite values are
+	// rejected.
 	var slack []float64
 	switch {
 	case req.Flags&wire.FlagSlackUniform != 0 && req.Slack != 0:
@@ -385,8 +386,8 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 		slack = sc.slack
 	}
 	for i, v := range slack {
-		if v < 0 {
-			return 0, wire.ErrCodeMalformed, fmt.Errorf("slack[%d] = %g is negative", i, v)
+		if err := checkSlack(i, v); err != nil {
+			return 0, wire.ErrCodeMalformed, err
 		}
 	}
 	if !sc.cfgValid || scheme != sc.cfg.scheme || model != sc.cfg.model ||

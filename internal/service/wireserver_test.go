@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"qosrma/internal/arch"
+	"qosrma/internal/core"
 	"qosrma/internal/stats"
 	"qosrma/internal/wire"
 )
@@ -316,6 +319,20 @@ func TestWireMalformedFrameKeepsConnection(t *testing.T) {
 	bad = good
 	bad.DBHash = 0xdeadbeef
 	expectError("stale", wire.AppendDecideRequest(nil, &bad), wire.ErrCodeStaleDB)
+	// Non-finite slack: NaN or ±Inf would otherwise pass the sign test
+	// and switch QoS off.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		bad = good
+		bad.Scheme = uint8(core.SchemeCoordDVFSCache)
+		bad.Flags = wire.FlagSlackUniform
+		bad.Slack = v
+		expectError(fmt.Sprintf("uniform slack %g", v), wire.AppendDecideRequest(nil, &bad), wire.ErrCodeMalformed)
+	}
+	bad = good
+	bad.Flags = wire.FlagSlackPerCore
+	bad.Slacks = make([]float64, n)
+	bad.Slacks[n-1] = math.Inf(-1)
+	expectError("per-core slack -Inf", wire.AppendDecideRequest(nil, &bad), wire.ErrCodeMalformed)
 	// Unknown frame type.
 	expectError("type", wire.AppendHeader(nil, 0x7f, 0), wire.ErrCodeUnsupported)
 
