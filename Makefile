@@ -28,7 +28,7 @@ MICRO_FLAGS ?= -benchtime=0.2s -count=5
 
 .PHONY: all build test test-short lint shlint vet-suite escape-check escape-baseline \
 	bench benchbase benchdiff pprof example-cluster \
-	loadtest loadtest-wire chaos determinism golden cover cover-check fuzz-smoke docs-check clean
+	loadtest loadtest-wire chaos determinism golden cover cover-check fuzz-smoke docs-check loc clean
 
 all: build lint test
 
@@ -160,6 +160,12 @@ fuzz-smoke:
 # in both directions (no undocumented routes, no phantom docs).
 docs-check:
 	./scripts/docscheck.sh
+
+# Non-test Go line count per internal/ package, the internal/ subtotal
+# and the module total (perfbench/ and .bench_build/ excluded): the size
+# figure the ROADMAP tracks beside the perf numbers.
+loc:
+	./scripts/loc.sh
 
 # Coverage report: cover/cover.out + per-package HTML + cover/func.txt.
 cover:

@@ -235,6 +235,17 @@ func (b *Breaker) Failure() {
 	}
 }
 
+// Available reports, without reserving admission, whether the breaker
+// is out of its cooldown: closed, half-open, or open long enough that
+// the next Allow turns it half-open. Routing availability must use this
+// rather than State: a breaker judged unavailable while its cooldown has
+// already elapsed never sees the Allow that would readmit it.
+func (b *Breaker) Available() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state != BreakerOpen || b.opt.Clock().Sub(b.openedAt) >= b.opt.Cooldown
+}
+
 // State returns the current admission state.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()

@@ -134,6 +134,37 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerAvailableIsReadOnly: Available is false only while the
+// breaker is open inside its cooldown, and asking never moves the state
+// machine (no half-open transition, no probe reserved).
+func TestBreakerAvailableIsReadOnly(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	b := NewBreaker(BreakerOptions{Threshold: 1, Cooldown: time.Second, Clock: clk.Now})
+	if !b.Available() {
+		t.Fatal("closed breaker unavailable")
+	}
+	b.Allow()
+	b.Failure()
+	if b.Available() {
+		t.Fatal("open breaker available inside its cooldown")
+	}
+	clk.Advance(1100 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		if !b.Available() {
+			t.Fatal("open breaker unavailable after its cooldown")
+		}
+	}
+	if b.State() != BreakerOpen {
+		t.Fatalf("Available moved the breaker to %v", b.State())
+	}
+	if !b.Allow() || b.State() != BreakerHalfOpen {
+		t.Fatal("cooled-down breaker did not admit its half-open probe")
+	}
+	if !b.Available() {
+		t.Fatal("half-open breaker unavailable")
+	}
+}
+
 // TestBreakerSuccessResetsFailureCount: interleaved successes keep a
 // closed breaker closed — only *consecutive* failures open it.
 func TestBreakerSuccessResetsFailureCount(t *testing.T) {

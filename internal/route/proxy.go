@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"qosrma/internal/ops"
@@ -26,17 +25,19 @@ import (
 // to the group owning its canonical key — and the per-group sub-batches
 // are forwarded concurrently and merged back into request order. Every
 // other request is forwarded whole to a rotating replica, so operators
-// can point any client at the proxy.
+// can point any client at the proxy. ServeWire adds the binary protocol
+// on the same replicas (WireProxy).
 //
-// Every forward runs through the resilience layer: a per-attempt
-// deadline, bounded retries with jittered exponential backoff (only for
-// idempotent requests — GET/HEAD and the pure-compute decide/score
-// POSTs; sweeps and admin mutations get exactly one attempt), a circuit
-// breaker per replica, optional active health probing that ejects dead
-// replicas from rotation, and optional hedged decide requests. When
-// every replica of a group is out, its keys spill to the next available
-// group on the ring — correct because the whole fleet serves one
-// database — and return the moment the owner heals.
+// Each codec forwards on its own lane (per-replica circuit breakers,
+// rotation and counters) through one shared resilience core: a
+// per-attempt deadline, bounded retries with jittered exponential
+// backoff (only for idempotent requests — GET/HEAD and the pure-compute
+// decide/score POSTs; sweeps and admin mutations get exactly one
+// attempt), optional active health probing that ejects dead replicas
+// from rotation, and optional hedged decide requests. When every
+// replica of a group is out, its keys spill to the next available group
+// on the ring — correct because the whole fleet serves one database —
+// and return the moment the owner heals.
 //
 // Two endpoints are answered locally instead of forwarded: /v1/healthz
 // reports the proxy's own deep health (a group with zero available
@@ -48,37 +49,26 @@ type Proxy struct {
 	opt    Options
 
 	replicas []replica
-	groups   [][]int // group index → indices into replicas
-	rr       []atomic.Uint32
-	ar       atomic.Uint32 // any-replica rotation (whole-request forwards)
+	json     *lane      // the HTTP/JSON lane
+	wire     *WireProxy // attached by ServeWire
 
 	prober *resilience.Prober
-	wire   *WireProxy // attached by ServeWire; shares breakers and health
 
-	reg *ops.Registry
-	// Legacy counters kept for Stats().
-	requests atomic.Uint64 // decide requests handled
-	splits   atomic.Uint64 // decide requests that spanned >1 group
-	failures atomic.Uint64 // forwards that exhausted every attempt
-
-	retried  *ops.Counter // retry attempts after a failure
-	attempts *ops.Counter // attempt failures (transport, truncation, 5xx)
-	hedges   *ops.Counter // hedged decide requests launched
-	spills   *ops.Counter // decide queries routed off-owner (group down)
-	breakTo  map[resilience.BreakerState]*ops.Counter
+	reg     *ops.Registry
+	spills  *ops.Counter // decide queries routed off-owner (group down)
+	breakTo map[resilience.BreakerState]*ops.Counter
 
 	rngMu sync.Mutex
 	rng   *stats.RNG
 }
 
-// replica is one flattened backend address with its failure-isolation
-// state. Health (prober) and breaker state are per replica, not per
-// group: one dead process must not poison its siblings.
+// replica is one flattened backend process. Health (prober) and breaker
+// state are per replica, not per group: one dead process must not
+// poison its siblings.
 type replica struct {
 	group    int
 	addr     string // HTTP host:port
 	wireAddr string // binary wire host:port ("" = none)
-	breaker  *resilience.Breaker
 }
 
 // Options tunes the proxy's resilience behaviour. The zero value selects
@@ -95,9 +85,9 @@ type Options struct {
 	Backoff resilience.Backoff
 	// Breaker configures every replica's circuit breaker.
 	Breaker resilience.BreakerOptions
-	// HedgeAfter, when positive, launches a second decide forward if the
-	// first has not answered within the duration; first answer wins
-	// (default 0 = off).
+	// HedgeAfter, when positive, launches a second decide forward (on
+	// either codec) if the first has not answered within the duration;
+	// first answer wins (default 0 = off).
 	HedgeAfter time.Duration
 	// ProbeInterval, when positive, enables active health probing of
 	// every replica's /v1/healthz at the interval (default 0 = off;
@@ -150,43 +140,26 @@ func NewProxyWithOptions(ring *Ring, client *http.Client, opt Options) *Proxy {
 		ring:   ring,
 		client: client,
 		opt:    opt,
-		groups: make([][]int, len(ring.Backends())),
-		rr:     make([]atomic.Uint32, len(ring.Backends())),
 		reg:    ops.NewRegistry(),
 		rng:    stats.NewRNG(stats.SeedFrom(opt.Seed, "route/jitter")),
 	}
-	p.initMetrics()
 	for g, b := range ring.Backends() {
 		for i, addr := range b.Addrs {
-			ri := len(p.replicas)
-			bopt := opt.Breaker
-			prev := bopt.OnStateChange
-			bopt.OnStateChange = func(from, to resilience.BreakerState) {
-				p.breakTo[to].Inc()
-				if prev != nil {
-					prev(from, to)
-				}
-			}
-			var wireAddr string
+			rep := replica{group: g, addr: addr}
 			if len(b.WireAddrs) > i {
-				wireAddr = b.WireAddrs[i]
+				rep.wireAddr = b.WireAddrs[i]
 			}
-			p.replicas = append(p.replicas, replica{
-				group:    g,
-				addr:     addr,
-				wireAddr: wireAddr,
-				breaker:  resilience.NewBreaker(bopt),
-			})
-			p.groups[g] = append(p.groups[g], ri)
+			p.replicas = append(p.replicas, rep)
 		}
 	}
+	p.initMetrics()
+	p.json = newLane(p, "json", opt.attemptTimeout(), func(*replica) bool { return true })
 	if opt.ProbeInterval > 0 {
 		popt := opt.Prober
 		popt.Interval = opt.ProbeInterval
 		p.prober = resilience.NewProber(len(p.replicas), p.probeReplica, popt, nil)
 		p.prober.Start()
 	}
-	p.registerReplicaMetrics()
 	return p
 }
 
@@ -214,21 +187,6 @@ func (p *Proxy) ProbeNow() {
 }
 
 func (p *Proxy) initMetrics() {
-	p.reg.CounterFunc("qosrmad_route_requests_total",
-		"Decide requests handled by the routing tier.", "",
-		func() float64 { return float64(p.requests.Load()) })
-	p.reg.CounterFunc("qosrmad_route_splits_total",
-		"Decide requests that spanned more than one backend group.", "",
-		func() float64 { return float64(p.splits.Load()) })
-	p.reg.CounterFunc("qosrmad_route_exhausted_total",
-		"Forwards that exhausted every attempt and answered an error.", "",
-		func() float64 { return float64(p.failures.Load()) })
-	p.retried = p.reg.Counter("qosrmad_route_retries_total",
-		"Forward attempts retried after a failure.", "")
-	p.attempts = p.reg.Counter("qosrmad_route_attempt_failures_total",
-		"Individual forward attempts that failed (transport error, truncated body, or 5xx).", "")
-	p.hedges = p.reg.Counter("qosrmad_route_hedges_total",
-		"Hedged decide forwards launched.", "")
 	p.spills = p.reg.Counter("qosrmad_route_spills_total",
 		"Decide forwards served off-owner because the owning group had no available replica.", "")
 	p.breakTo = map[resilience.BreakerState]*ops.Counter{}
@@ -247,23 +205,6 @@ func (p *Proxy) initMetrics() {
 		func() float64 { _, r := p.proberStats(); return float64(r) })
 }
 
-// registerReplicaMetrics runs after the replica slice is final.
-func (p *Proxy) registerReplicaMetrics() {
-	for i := range p.replicas {
-		rep := &p.replicas[i]
-		ri := i
-		labels := ops.Labels("group", p.ring.Backends()[rep.group].Name, "replica", rep.addr)
-		p.reg.GaugeFunc("qosrmad_route_replica_available",
-			"1 when the replica is in rotation (probe-healthy, breaker not open).",
-			labels, func() float64 {
-				if p.replicaAvailable(ri) {
-					return 1
-				}
-				return 0
-			})
-	}
-}
-
 func (p *Proxy) proberStats() (uint64, uint64) {
 	if p.prober == nil {
 		return 0, 0
@@ -278,18 +219,16 @@ func (p *Proxy) proberStats() (uint64, uint64) {
 // live traffic gets no more attempts (the pick loop skips unavailable
 // replicas), so without this a breaker opened just before an ejection
 // would stay open forever and block readmission — the passing probe is
-// the evidence that closes it.
-func (p *Proxy) probeReplica(ctx context.Context, ri int) error {
-	err := p.probeReplicaHTTP(ctx, ri)
-	if err != nil {
-		p.replicas[ri].breaker.Failure()
-	} else {
-		p.replicas[ri].breaker.Success()
-	}
-	return err
-}
-
-func (p *Proxy) probeReplicaHTTP(ctx context.Context, ri int) error {
+// the evidence that closes it. The probe speaks HTTP, so it feeds only
+// the JSON lane's breaker.
+func (p *Proxy) probeReplica(ctx context.Context, ri int) (err error) {
+	defer func() {
+		if err != nil {
+			p.json.breakers[ri].Failure()
+		} else {
+			p.json.breakers[ri].Success()
+		}
+	}()
 	//qosrma:allow(ctxdeadline) ctx comes from Prober.RunNow, which wraps every probe in context.WithTimeout(p.opt.Timeout)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		"http://"+p.replicas[ri].addr+"/v1/healthz", nil)
@@ -314,26 +253,10 @@ func (p *Proxy) replicaHealthy(ri int) bool {
 	return p.prober == nil || p.prober.Healthy(ri)
 }
 
-// replicaAvailable reports whether the replica is in rotation:
-// probe-healthy and breaker not refusing.
-func (p *Proxy) replicaAvailable(ri int) bool {
-	return p.replicaHealthy(ri) && p.replicas[ri].breaker.State() != resilience.BreakerOpen
-}
-
-// groupAvailable reports whether any replica of group g is in rotation.
-func (p *Proxy) groupAvailable(g int) bool {
-	for _, ri := range p.groups[g] {
-		if p.replicaAvailable(ri) {
-			return true
-		}
-	}
-	return false
-}
-
-// Stats reports decide requests handled, how many spanned multiple
+// Stats reports JSON decide requests handled, how many spanned multiple
 // groups, and how many forwards exhausted every attempt.
 func (p *Proxy) Stats() (requests, splits, failures uint64) {
-	return p.requests.Load(), p.splits.Load(), p.failures.Load()
+	return p.json.stats()
 }
 
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -356,21 +279,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // tier needs: equal queries land on equal groups, so each backend's
 // decision LRU sees a stable partition of the key space.
 func RoutingKey(dst []byte, q *service.DecideQuery) []byte {
-	dst = append(dst, strings.ToLower(q.Scheme)...)
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(q.Model), 10)
-	dst = append(dst, '/')
-	switch {
-	case len(q.Slacks) > 0:
-		for i, v := range q.Slacks {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-		}
-	case q.Slack != 0:
-		dst = strconv.AppendFloat(dst, q.Slack, 'g', -1, 64)
-	}
+	dst = appendKeyHead(dst, strings.ToLower(q.Scheme), q.Model, q.Slacks, q.Slack)
 	for _, app := range q.Apps {
 		dst = append(dst, '|')
 		dst = append(dst, app.Bench...)
@@ -380,38 +289,33 @@ func RoutingKey(dst []byte, q *service.DecideQuery) []byte {
 	return dst
 }
 
-// groupPicker returns the health-aware owner function for one request:
-// availability is snapshotted once so every query in the batch sees a
-// consistent fleet view. In the healthy fleet it is exactly Ring.Pick.
-func (p *Proxy) groupPicker() func(key []byte) int {
-	ng := len(p.groups)
-	if ng == 1 {
-		return func([]byte) int { return 0 }
-	}
-	avail := make([]bool, ng)
-	allUp := true
-	for g := range avail {
-		avail[g] = p.groupAvailable(g)
-		allUp = allUp && avail[g]
-	}
-	if allUp {
-		return p.ring.Pick
-	}
-	return func(key []byte) int {
-		owner := p.ring.PickHash(Hash(key))
-		g := p.ring.PickAvailableHash(Hash(key), func(g int) bool { return avail[g] })
-		if g != owner {
-			p.spills.Inc()
+// appendKeyHead renders the scheme/model/slack prefix both codecs' routing
+// keys share: a per-core slack vector when present, else a nonzero
+// uniform slack, else nothing.
+func appendKeyHead(dst []byte, scheme string, model int, slacks []float64, slack float64) []byte {
+	dst = append(dst, scheme...)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(model), 10)
+	dst = append(dst, '/')
+	switch {
+	case len(slacks) > 0:
+		for i, v := range slacks {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
 		}
-		return g
+	case slack != 0:
+		dst = strconv.AppendFloat(dst, slack, 'g', -1, 64)
 	}
+	return dst
 }
 
 // serveDecide splits a decide request by owning group and merges the
 // answers. A request whose queries all map to one group is forwarded
 // verbatim (the common case under key-affine clients).
 func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
-	p.requests.Add(1)
+	p.json.requests.Inc()
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeProxyError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
@@ -428,21 +332,12 @@ func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
 		queries = []service.DecideQuery{req.DecideQuery}
 	}
 
-	pick := p.groupPicker()
 	groups := make([][]int, len(p.ring.Backends()))
 	var key []byte
-	distinct := -1
-	split := false
-	for i := range queries {
+	distinct, split := p.json.split(groups, len(queries), func(i int) []byte {
 		key = RoutingKey(key[:0], &queries[i])
-		g := pick(key)
-		groups[g] = append(groups[g], i)
-		if distinct == -1 {
-			distinct = g
-		} else if g != distinct {
-			split = true
-		}
-	}
+		return key
+	})
 
 	if !split {
 		// One owning group: forward the original body untouched so the
@@ -456,57 +351,49 @@ func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
 		writeBackendResponse(w, resp)
 		return
 	}
-	p.splits.Add(1)
 
 	// Fan the sub-batches out concurrently; merge preserves request order
 	// because each group's answer slice is index-aligned with the subset
 	// it was sent.
-	type groupResult struct {
-		g    int
+	results := make([]struct {
+		back *backendResponse
 		resp service.DecideResponse
 		err  error
-		back *backendResponse
-	}
+	}, len(groups))
 	var wg sync.WaitGroup
-	results := make([]groupResult, 0, len(groups))
 	for g, idx := range groups {
 		if len(idx) == 0 {
 			continue
 		}
-		results = append(results, groupResult{g: g})
-	}
-	for i := range results {
 		wg.Add(1)
-		go func(gr *groupResult) {
+		go func(g int, idx []int) {
 			defer wg.Done()
-			idx := groups[gr.g]
+			gr := &results[g]
 			sub := service.DecideRequest{Queries: make([]service.DecideQuery, len(idx))}
 			for j, qi := range idx {
 				sub.Queries[j] = queries[qi]
 			}
 			b, err := json.Marshal(&sub)
-			if err != nil {
-				gr.err = err
-				return
+			if err == nil {
+				gr.back, err = p.forwardDecide(r.Context(), g, b)
 			}
-			back, err := p.forwardDecide(r.Context(), gr.g, b)
-			if err != nil {
-				gr.err = err
-				return
+			if err == nil && gr.back.code == http.StatusOK {
+				err = json.Unmarshal(gr.back.body, &gr.resp)
 			}
-			gr.back = back
-			if back.code == http.StatusOK {
-				gr.err = json.Unmarshal(back.body, &gr.resp)
-			}
-		}(&results[i])
+			gr.err = err
+		}(g, idx)
 	}
 	wg.Wait()
 
 	merged := service.DecideResponse{Results: make([]service.DecideAnswer, len(queries))}
-	for _, gr := range results {
+	for g, idx := range groups {
+		if len(idx) == 0 {
+			continue
+		}
+		gr := &results[g]
+		name := p.ring.Backends()[g].Name
 		if gr.err != nil {
-			p.writeForwardError(w,
-				fmt.Errorf("backend group %s: %w", p.ring.Backends()[gr.g].Name, gr.err))
+			p.writeForwardError(w, fmt.Errorf("backend group %s: %w", name, gr.err))
 			return
 		}
 		if gr.back.code != http.StatusOK {
@@ -517,11 +404,10 @@ func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
 			writeBackendResponse(w, gr.back)
 			return
 		}
-		idx := groups[gr.g]
 		if len(gr.resp.Results) != len(idx) {
 			writeProxyError(w, http.StatusBadGateway,
 				fmt.Errorf("backend group %s answered %d results for %d queries",
-					p.ring.Backends()[gr.g].Name, len(gr.resp.Results), len(idx)))
+					name, len(gr.resp.Results), len(idx)))
 			return
 		}
 		for j, qi := range idx {
@@ -549,35 +435,28 @@ type backendResponse struct {
 	body        []byte
 }
 
-// attempt runs exactly one forward to one replica under the per-attempt
-// deadline and reports the outcome to its breaker. Transport errors,
-// truncated bodies and 5xx answers count as failures; any completed
-// non-5xx answer (a 4xx is the backend authoritatively rejecting the
-// request) counts as success.
-func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType string, body []byte) (*backendResponse, error) {
-	rep := &p.replicas[ri]
-	if t := p.opt.attemptTimeout(); t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
+// attempt is the JSON lane's one-attempt function: one forward to
+// replica ri under ctx (which carries the per-attempt deadline).
+// Transport errors and truncated bodies fail with no answer; a 5xx is a
+// failure that still carries an answer; any other completed answer (a
+// 4xx is the backend authoritatively rejecting the request) succeeds.
+func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType string, body []byte) (*backendResponse, bool, error) {
+	addr := p.replicas[ri].addr
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	//qosrma:allow(ctxdeadline) deadline is attached above unless the operator set AttemptTimeout<0 to disable it; the inbound request's ctx still cancels the attempt
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+rep.addr+uri, rd)
+	//qosrma:allow(ctxdeadline) forward attaches the lane's per-attempt deadline unless the operator set AttemptTimeout<0 to disable it; the inbound request's ctx still cancels the attempt
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+uri, rd)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		rep.breaker.Failure()
-		p.attempts.Inc()
-		return nil, fmt.Errorf("replica %s: %w", rep.addr, err)
+		return nil, false, fmt.Errorf("replica %s: %w", addr, err)
 	}
 	payload, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -585,55 +464,14 @@ func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType st
 		// The status line arrived but the body did not (reset mid-body):
 		// a replica failure like any other, retried on the next replica
 		// rather than relayed as a truncated answer.
-		rep.breaker.Failure()
-		p.attempts.Inc()
-		return nil, fmt.Errorf("replica %s: response truncated: %w", rep.addr, err)
-	}
-	if resp.StatusCode >= 500 {
-		rep.breaker.Failure()
-		p.attempts.Inc()
-	} else {
-		rep.breaker.Success()
+		return nil, false, fmt.Errorf("replica %s: response truncated: %w", addr, err)
 	}
 	return &backendResponse{
 		code:        resp.StatusCode,
 		contentType: resp.Header.Get("Content-Type"),
 		retryAfter:  resp.Header.Get("Retry-After"),
 		body:        payload,
-	}, nil
-}
-
-// pickReplica returns the next admitted replica of group g (rotating),
-// skipping index skip (the previous attempt's choice), or -1 when the
-// group has none. g < 0 means any group.
-func (p *Proxy) pickReplica(g, skip int) int {
-	if g < 0 {
-		n := len(p.replicas)
-		start := int(p.ar.Add(1))
-		for k := 0; k < n; k++ {
-			ri := (start + k) % n
-			if ri != skip && p.admit(ri) {
-				return ri
-			}
-		}
-		return -1
-	}
-	idxs := p.groups[g]
-	start := int(p.rr[g].Add(1))
-	for k := 0; k < len(idxs); k++ {
-		ri := idxs[(start+k)%len(idxs)]
-		if ri != skip && p.admit(ri) {
-			return ri
-		}
-	}
-	return -1
-}
-
-// admit checks prober health and reserves breaker admission. A true
-// return must be followed by exactly one attempt (the breaker's
-// half-open probe accounting depends on it).
-func (p *Proxy) admit(ri int) bool {
-	return p.replicaHealthy(ri) && p.replicas[ri].breaker.Allow()
+	}, resp.StatusCode >= 500, nil
 }
 
 // rnd is the locked jitter source for backoff delays.
@@ -643,108 +481,25 @@ func (p *Proxy) rnd() float64 {
 	return p.rng.Float64()
 }
 
-// forward runs the retry loop for one request against group g (g < 0 =
-// any group). Idempotent requests get the configured extra attempts and
-// fail over across replicas — spilling out of the group when it has none
-// left — with backoff between attempts; non-idempotent requests get
-// exactly one attempt. A 5xx answer is retried like a transport failure
-// but relayed verbatim when attempts run out (the backend's own error
-// beats a synthetic one).
-func (p *Proxy) forward(ctx context.Context, g int, method, uri, contentType string, body []byte, idempotent bool) (*backendResponse, error) {
+// forwardJSON runs one HTTP request against group g (g < 0 = any group)
+// on the JSON lane. Idempotent requests get the configured extra
+// attempts; non-idempotent ones exactly one.
+func (p *Proxy) forwardJSON(ctx context.Context, g int, method, uri, contentType string, body []byte, idempotent bool) (*backendResponse, error) {
 	attempts := 1
 	if idempotent {
 		attempts += p.opt.retries()
 	}
-	var lastResp *backendResponse
-	var lastErr error
-	tried := -1
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			p.retried.Inc()
-			if err := p.opt.Backoff.Sleep(ctx, a-1, p.rnd); err != nil {
-				break
-			}
-		}
-		ri := p.pickReplica(g, tried)
-		if ri < 0 && g >= 0 && idempotent {
-			// The owning group is out mid-request: any backend answers
-			// the same decide (one fleet, one database).
-			ri = p.pickReplica(-1, tried)
-		}
-		if ri < 0 {
-			lastErr = errNoReplica
-			continue // backoff: a breaker may half-open meanwhile
-		}
-		tried = ri
-		resp, err := p.attempt(ctx, ri, method, uri, contentType, body)
-		if err != nil {
-			lastResp, lastErr = nil, err
-			continue
-		}
-		if resp.code >= 500 && idempotent && a < attempts-1 {
-			lastResp, lastErr = resp, nil
-			continue
-		}
-		return resp, nil
-	}
-	if lastResp != nil {
-		return lastResp, nil
-	}
-	p.failures.Add(1)
-	if lastErr == nil {
-		lastErr = errNoReplica
-	}
-	return nil, lastErr
+	return forward(ctx, p.json, g, attempts, func(ctx context.Context, ri int) (*backendResponse, bool, error) {
+		return p.attempt(ctx, ri, method, uri, contentType, body)
+	})
 }
 
-// forwardDecide forwards one decide body to group g, hedging with a
-// second concurrent forward when the first exceeds HedgeAfter. Decide is
-// idempotent and answer-deterministic, so whichever forward wins is the
-// canonical answer.
+// forwardDecide forwards one decide body to group g under the lane's
+// hedge.
 func (p *Proxy) forwardDecide(ctx context.Context, g int, body []byte) (*backendResponse, error) {
-	if p.opt.HedgeAfter <= 0 {
-		return p.forward(ctx, g, http.MethodPost, "/v1/decide", "application/json", body, true)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type out struct {
-		resp *backendResponse
-		err  error
-	}
-	ch := make(chan out, 2)
-	launch := func() {
-		go func() {
-			resp, err := p.forward(cctx, g, http.MethodPost, "/v1/decide", "application/json", body, true)
-			ch <- out{resp, err}
-		}()
-	}
-	launch()
-	inflight, hedged := 1, false
-	timer := time.NewTimer(p.opt.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			inflight--
-			if o.err == nil {
-				return o.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if inflight == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				p.hedges.Inc()
-				launch()
-				inflight++
-			}
-		}
-	}
+	return hedge(ctx, p.json, func(ctx context.Context, _ bool) (*backendResponse, error) {
+		return p.forwardJSON(ctx, g, http.MethodPost, "/v1/decide", "application/json", body, true)
+	})
 }
 
 // forwardWhole proxies any non-decide request to a rotating replica
@@ -760,7 +515,7 @@ func (p *Proxy) forwardWhole(w http.ResponseWriter, r *http.Request) {
 	}
 	idempotent := r.Method == http.MethodGet || r.Method == http.MethodHead ||
 		(r.Method == http.MethodPost && (r.URL.Path == "/v1/decide" || r.URL.Path == "/v1/score"))
-	resp, err := p.forward(r.Context(), -1, r.Method, r.URL.RequestURI(),
+	resp, err := p.forwardJSON(r.Context(), -1, r.Method, r.URL.RequestURI(),
 		r.Header.Get("Content-Type"), body, idempotent)
 	if err != nil {
 		p.writeForwardError(w, err)
@@ -784,9 +539,9 @@ func (p *Proxy) serveHealthz(w http.ResponseWriter) {
 		Groups []groupHealth `json:"groups"`
 	}{Status: "ok"}
 	for g, b := range p.ring.Backends() {
-		gh := groupHealth{Name: b.Name, Replicas: len(p.groups[g])}
-		for _, ri := range p.groups[g] {
-			if p.replicaAvailable(ri) {
+		gh := groupHealth{Name: b.Name, Replicas: len(p.json.groups[g])}
+		for _, ri := range p.json.groups[g] {
+			if p.json.available(ri) {
 				gh.Available++
 			}
 		}

@@ -366,7 +366,7 @@ func TestProbeClosesOpenBreaker(t *testing.T) {
 	if code := post(); code == http.StatusOK {
 		t.Fatal("decide answered 200 against a dead replica")
 	}
-	if p.replicaAvailable(0) {
+	if p.json.available(0) {
 		t.Fatal("replica still available after the breaker opened")
 	}
 	p.ProbeNow() // the prober ejects it too
@@ -375,7 +375,7 @@ func TestProbeClosesOpenBreaker(t *testing.T) {
 	// a cooldown lapse, that closes the breaker.
 	b.restart()
 	p.ProbeNow()
-	if !p.replicaAvailable(0) {
+	if !p.json.available(0) {
 		t.Fatal("replica not back in rotation after a passing probe — breaker stuck open")
 	}
 	if code := post(); code != http.StatusOK {
@@ -412,17 +412,32 @@ func TestProxyMetricsLocal(t *testing.T) {
 	}
 }
 
-// fakeWireBackend is a minimal wire-protocol decision server: Hello is
+// wireFake is a minimal wire-protocol decision server: Hello is
 // answered with a fixed Meta, and every decide query is answered with a
 // per-core signature (Size = backend id, Freq = bench id, Ways = phase)
-// so merge alignment is checkable. unavailable makes it answer every
-// decide with an Error frame code Unavailable — a draining backend.
+// so merge alignment is checkable. down makes it answer every decide
+// with an Error frame code Unavailable — a draining backend; stall
+// delays every decide answer by that many nanoseconds.
+type wireFake struct {
+	addr  string
+	down  atomic.Bool
+	stall atomic.Int64
+}
+
+// fakeWireBackend starts a wireFake that is draining when unavailable.
 func fakeWireBackend(t *testing.T, id uint8, unavailable bool) string {
+	f := startWireFake(t, id)
+	f.down.Store(unavailable)
+	return f.addr
+}
+
+func startWireFake(t *testing.T, id uint8) *wireFake {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := &wireFake{addr: ln.Addr().String()}
 	meta := wire.Meta{DBHash: 42, NCores: 2, Benches: []wire.MetaBench{
 		{ID: 1, Phases: 16, Name: "mcf"}, {ID: 2, Phases: 16, Name: "lbm"},
 		{ID: 3, Phases: 16, Name: "milc"}, {ID: 4, Phases: 16, Name: "gcc"},
@@ -447,11 +462,12 @@ func fakeWireBackend(t *testing.T, id uint8, unavailable bool) string {
 					case wire.TypeHello:
 						out = wire.AppendMeta(out[:0], &meta)
 					case wire.TypeDecideRequest:
+						time.Sleep(time.Duration(f.stall.Load()))
 						if err := wire.ParseDecideRequest(payload, &req); err != nil {
 							out = wire.AppendError(out[:0], req.Seq, wire.ErrCodeMalformed, err.Error())
 							break
 						}
-						if unavailable {
+						if f.down.Load() {
 							out = wire.AppendError(out[:0], req.Seq, wire.ErrCodeUnavailable, "draining")
 							break
 						}
@@ -478,7 +494,7 @@ func fakeWireBackend(t *testing.T, id uint8, unavailable bool) string {
 		}
 	}()
 	t.Cleanup(func() { ln.Close() })
-	return ln.Addr().String()
+	return f
 }
 
 // wireDecide sends one DecideRequest through conn and returns the

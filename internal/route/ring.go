@@ -8,12 +8,14 @@
 // addresses that serve the same key range interchangeably.
 //
 // The package has two layers: Ring (pure placement — bytes in, group
-// out) and Proxy (an http.Handler speaking the service's own JSON API
-// that splits decide batches by owning group, forwards the sub-batches
-// concurrently with per-group replica rotation and failover, and merges
-// the answers back into request order). cmd/qosrmad -route wraps Proxy;
-// cmd/loadgen's -addrs flag drives the backends directly with the same
-// placement assumption.
+// out) and Proxy (an http.Handler speaking the service's own JSON API,
+// plus WireProxy for the binary protocol, that splits decide batches by
+// owning group, forwards the sub-batches with per-group replica
+// rotation and failover, and merges the answers back into request
+// order). Both codecs forward through one core (lane.go): a per-codec
+// lane of breakers and counters, one attempt loop and one hedge.
+// cmd/qosrmad -route wraps Proxy; cmd/loadgen's -addrs flag drives the
+// backends directly with the same placement assumption.
 package route
 
 import (

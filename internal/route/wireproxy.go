@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -10,122 +11,95 @@ import (
 	"time"
 
 	"qosrma/internal/ops"
-	"qosrma/internal/resilience"
 	"qosrma/internal/wire"
 )
 
 // WireProxy extends the routing tier to the binary wire protocol: it
 // accepts wire connections, splits each DecideRequest micro-batch by the
 // same consistent-hash placement the JSON proxy uses (the canonical
-// routing key is rendered from the Meta frame's interned benchmark
-// table, so both codecs agree on ownership), forwards the sub-batches
-// over pooled backend wire connections, and merges the answers into one
-// response echoing the client's sequence number.
+// routing key is rendered from the latest Meta frame's interned
+// benchmark table, so both codecs agree on ownership), forwards the
+// sub-batches one group after another over pooled backend wire
+// connections, and merges the answers into one response echoing the
+// client's sequence number.
 //
-// Failover semantics match the JSON path: per-replica circuit breakers
-// (separate from the HTTP breakers — the wire listener can die alone),
-// the shared health prober, bounded retries with backoff, and ring
-// spill when a whole group is out. A backend's drain goaway (Error
-// frame, code Unavailable) is a retryable replica failure, so draining
+// It forwards on its own lane of the proxy's forwarding core: breakers
+// separate from the HTTP ones (the wire listener can die alone), the
+// shared health prober, and the same attempt loop, hedge and ring spill
+// as the JSON path. A backend's drain goaway (Error frame, code
+// Unavailable) is a failure that still carries an answer, so draining
 // backends hand their in-flight keys to siblings without client-visible
-// errors. Pooled connections that died while idle are rebuilt on demand
-// (dial-with-backoff happens inside the same retry loop).
+// errors. Every Hello fetches a fresh Meta through the lane and
+// republishes the routing table, so a client re-syncing after a backend
+// hot-swap gets the new database's hash. Close cancels the proxy's
+// lifetime context, which cuts short both backoff sleeps and in-flight
+// backend I/O.
 type WireProxy struct {
-	p  *Proxy
-	ln net.Listener
+	p    *Proxy
+	ln   net.Listener
+	lane *lane
 
-	// Wire-capable replicas (indices into p.replicas with a wire addr).
-	pools   []*wirePool // parallel to p.replicas; nil = no wire listener
-	byGroup [][]int
-	all     []int
-	rr      []atomic.Uint32
-	ar      atomic.Uint32
+	ctx    context.Context // lifetime of every forward; cancelled by Close
+	cancel context.CancelFunc
 
-	metaMu  sync.Mutex
-	metaRaw []byte            // cached complete Meta frame (header+payload)
-	benches map[uint16]string // interned bench ID → name, from Meta
-
-	requests atomic.Uint64
-	splits   atomic.Uint64
-	failures atomic.Uint64
-	retried  *ops.Counter
-	attempts *ops.Counter
-	dials    *ops.Counter
+	pools []*wirePool               // parallel to p.replicas; nil = no wire listener
+	table atomic.Pointer[wireTable] // latest Meta; nil until a backend answers Hello
+	dials *ops.Counter
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
-
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	wg    sync.WaitGroup
 }
 
-// wirePool is one replica's wire-connection pool: idle connections are
-// reused, dead ones dropped, and a breaker isolates the replica.
-type wirePool struct {
-	addr    string
-	breaker *resilience.Breaker
+// wireTable is one backend's Meta answer: the complete frame relayed to
+// clients on Hello, and the interned bench names routing keys render.
+type wireTable struct {
+	frame   []byte
+	benches map[uint16]string
+}
 
+// wirePool is one replica's idle wire-connection pool.
+type wirePool struct {
+	addr string
 	mu   sync.Mutex
 	idle []*wireConn
 }
 
-// defaultWireTimeout floors every wire-connection deadline when the
-// operator disabled the per-attempt timeout: raw conn I/O has no
-// context to fall back on and must never be unbounded.
+// defaultWireTimeout floors the wire lane's per-attempt deadline and
+// every client-connection write deadline when the operator disabled the
+// per-attempt timeout: raw conn I/O must never be unbounded.
 const defaultWireTimeout = 2 * time.Second
 
-// wireConn is one pooled backend connection with its framing reader and
-// write scratch.
+// wireConn is one pooled backend connection with its framing reader.
 type wireConn struct {
-	c   net.Conn
-	r   *wire.Reader
-	buf []byte
+	c net.Conn
+	r *wire.Reader
 }
 
 // ServeWire starts proxying the binary wire protocol on ln. Call once;
 // the returned WireProxy is also closed by Proxy.Close.
 func (p *Proxy) ServeWire(ln net.Listener) *WireProxy {
+	timeout := p.opt.attemptTimeout()
+	if timeout <= 0 {
+		timeout = defaultWireTimeout
+	}
+	ctx, cancel := context.WithCancel(context.Background())
 	wp := &WireProxy{
-		p:       p,
-		ln:      ln,
-		pools:   make([]*wirePool, len(p.replicas)),
-		byGroup: make([][]int, len(p.groups)),
-		rr:      make([]atomic.Uint32, len(p.groups)),
-		benches: make(map[uint16]string),
-		conns:   make(map[net.Conn]struct{}),
+		p:      p,
+		ln:     ln,
+		lane:   newLane(p, "wire", timeout, func(rep *replica) bool { return rep.wireAddr != "" }),
+		ctx:    ctx,
+		cancel: cancel,
+		pools:  make([]*wirePool, len(p.replicas)),
+		dials: p.reg.Counter("qosrmad_route_wire_dials_total",
+			"Backend wire connections dialed (reconnects included).", ""),
+		conns: make(map[net.Conn]struct{}),
 	}
-	for ri := range p.replicas {
-		rep := &p.replicas[ri]
-		if rep.wireAddr == "" {
-			continue
+	for ri, rep := range p.replicas {
+		if rep.wireAddr != "" {
+			wp.pools[ri] = &wirePool{addr: rep.wireAddr}
 		}
-		bopt := p.opt.Breaker
-		prev := bopt.OnStateChange
-		bopt.OnStateChange = func(from, to resilience.BreakerState) {
-			p.breakTo[to].Inc()
-			if prev != nil {
-				prev(from, to)
-			}
-		}
-		wp.pools[ri] = &wirePool{addr: rep.wireAddr, breaker: resilience.NewBreaker(bopt)}
-		wp.byGroup[rep.group] = append(wp.byGroup[rep.group], ri)
-		wp.all = append(wp.all, ri)
 	}
-	wp.retried = p.reg.Counter("qosrmad_route_wire_retries_total",
-		"Wire forward attempts retried after a failure.", "")
-	wp.attempts = p.reg.Counter("qosrmad_route_wire_attempt_failures_total",
-		"Individual wire forward attempts that failed.", "")
-	wp.dials = p.reg.Counter("qosrmad_route_wire_dials_total",
-		"Backend wire connections dialed (reconnects included).", "")
-	p.reg.CounterFunc("qosrmad_route_wire_requests_total",
-		"Wire decide requests handled by the routing tier.", "",
-		func() float64 { return float64(wp.requests.Load()) })
-	p.reg.CounterFunc("qosrmad_route_wire_splits_total",
-		"Wire decide requests that spanned more than one backend group.", "",
-		func() float64 { return float64(wp.splits.Load()) })
-	p.reg.CounterFunc("qosrmad_route_wire_exhausted_total",
-		"Wire forwards that exhausted every attempt.", "",
-		func() float64 { return float64(wp.failures.Load()) })
 	p.wire = wp
 	wp.wg.Add(1)
 	go wp.serve()
@@ -138,16 +112,19 @@ func (wp *WireProxy) Addr() string { return wp.ln.Addr().String() }
 // Stats reports wire decide requests handled, splits and exhausted
 // forwards.
 func (wp *WireProxy) Stats() (requests, splits, failures uint64) {
-	return wp.requests.Load(), wp.splits.Load(), wp.failures.Load()
+	return wp.lane.stats()
 }
 
-// Close stops accepting, closes client connections and the pools.
+// Close cancels every forward (backoff and backend I/O alike), stops
+// accepting, closes client connections and then the pools.
 func (wp *WireProxy) Close() {
-	wp.closeOnce.Do(func() { wp.ln.Close() })
+	wp.cancel()
+	wp.ln.Close()
 	wp.mu.Lock()
 	for c := range wp.conns {
 		c.Close()
 	}
+	wp.conns = nil // a connection accepted from here on is refused by track
 	wp.mu.Unlock()
 	wp.wg.Wait()
 	for _, pool := range wp.pools {
@@ -198,7 +175,6 @@ func (wp *WireProxy) serveConn(c net.Conn) {
 	var (
 		req   wire.DecideRequest
 		out   []byte
-		errB  []byte
 		merge mergeState
 	)
 	for {
@@ -207,55 +183,38 @@ func (wp *WireProxy) serveConn(c net.Conn) {
 		// reading its responses must not wedge the proxy goroutine.
 		// (Reads stay unbounded — an idle connection is legal, a
 		// stalled write is not.)
-		wd := wp.p.opt.attemptTimeout()
-		if wd <= 0 {
-			wd = defaultWireTimeout
-		}
-		c.SetWriteDeadline(time.Now().Add(wd)) //nolint:errcheck // net.TCPConn deadlines cannot fail
+		c.SetWriteDeadline(time.Now().Add(wp.lane.timeout)) //nolint:errcheck // net.TCPConn deadlines cannot fail
 		if err != nil {
 			if errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrTooLarge) {
 				code := wire.ErrCodeUnsupported
 				if errors.Is(err, wire.ErrTooLarge) {
 					code = wire.ErrCodeTooLarge
 				}
-				errB = wire.AppendError(errB[:0], 0, code, err.Error())
-				c.Write(errB) //nolint:errcheck // closing anyway
+				c.Write(wire.AppendError(out[:0], 0, code, err.Error())) //nolint:errcheck // closing anyway
 			}
 			return
 		}
 		switch typ {
 		case wire.TypeHello:
-			meta, err := wp.ensureMeta()
-			if err != nil {
-				errB = wire.AppendError(errB[:0], 0, wire.ErrCodeUnavailable,
+			if t, err := wp.fetchMeta(); err != nil {
+				out = wire.AppendError(out[:0], 0, wire.ErrCodeUnavailable,
 					"no backend answered Hello: "+err.Error())
-				if _, werr := c.Write(errB); werr != nil {
-					return
-				}
-				continue
-			}
-			if _, err := c.Write(meta); err != nil {
-				return
+			} else {
+				out = append(out[:0], t.frame...)
 			}
 		case wire.TypeDecideRequest:
-			wp.requests.Add(1)
+			wp.lane.requests.Inc()
 			if err := wire.ParseDecideRequest(payload, &req); err != nil {
-				errB = wire.AppendError(errB[:0], req.Seq, wire.ErrCodeMalformed, err.Error())
-				if _, werr := c.Write(errB); werr != nil {
-					return
-				}
-				continue
-			}
-			out = wp.handleDecide(out[:0], payload, &req, &merge)
-			if _, err := c.Write(out); err != nil {
-				return
+				out = wire.AppendError(out[:0], req.Seq, wire.ErrCodeMalformed, err.Error())
+			} else {
+				out = wp.handleDecide(out[:0], payload, &req, &merge)
 			}
 		default:
-			errB = wire.AppendError(errB[:0], 0, wire.ErrCodeUnsupported,
+			out = wire.AppendError(out[:0], 0, wire.ErrCodeUnsupported,
 				fmt.Sprintf("unexpected frame type %#x", typ))
-			if _, err := c.Write(errB); err != nil {
-				return
-			}
+		}
+		if _, err := c.Write(out); err != nil {
+			return
 		}
 	}
 }
@@ -282,39 +241,33 @@ func (wp *WireProxy) handleDecide(dst []byte, payload []byte, req *wire.DecideRe
 	// Benchmark names for the canonical routing key come from Meta; if no
 	// backend has answered one yet the interned IDs stand in (placement
 	// is still deterministic, just not aligned with the JSON path's).
-	wp.ensureMeta() //nolint:errcheck // fallback rendering below
-
-	if m.groups == nil || len(m.groups) != len(wp.p.groups) {
-		m.groups = make([][]int, len(wp.p.groups))
+	t := wp.table.Load()
+	if t == nil {
+		if t, _ = wp.fetchMeta(); t == nil {
+			t = &wireTable{}
+		}
+	}
+	if len(m.groups) != len(wp.lane.groups) {
+		m.groups = make([][]int, len(wp.lane.groups))
 	}
 	for g := range m.groups {
 		m.groups[g] = m.groups[g][:0]
 	}
-	pick := wp.p.groupPicker()
-	distinct, split := -1, false
-	for qi := 0; qi < count; qi++ {
-		m.key = wp.routingKey(m.key[:0], req, qi)
-		g := pick(m.key)
-		m.groups[g] = append(m.groups[g], qi)
-		if distinct == -1 {
-			distinct = g
-		} else if g != distinct {
-			split = true
-		}
-	}
+	distinct, split := wp.lane.split(m.groups, count, func(qi int) []byte {
+		m.key = appendWireKey(m.key[:0], req, qi, t)
+		return m.key
+	})
 
 	if !split {
 		// One owning group: forward the original frame bytes untouched.
 		m.subFrame = wire.AppendHeader(m.subFrame[:0], wire.TypeDecideRequest, len(payload))
 		m.subFrame = append(m.subFrame, payload...)
-		typ, resp, err := wp.forward(distinct, m.subFrame, m.respBuf[:0])
-		m.respBuf = resp[:0]
+		ans, err := wp.forwardDecide(distinct, m)
 		if err != nil {
 			return wire.AppendError(dst, req.Seq, wire.ErrCodeUnavailable, err.Error())
 		}
-		return wp.relay(dst, req.Seq, typ, resp)
+		return relay(dst, req.Seq, ans.typ, ans.payload)
 	}
-	wp.splits.Add(1)
 
 	if cap(m.decided) < count {
 		m.decided = make([]bool, count)
@@ -344,18 +297,17 @@ func (wp *WireProxy) handleDecide(dst []byte, payload []byte, req *wire.DecideRe
 			m.sub.Apps = append(m.sub.Apps, req.Apps[qi*n:(qi+1)*n]...)
 		}
 		m.subFrame = wire.AppendDecideRequest(m.subFrame[:0], &m.sub)
-		typ, resp, err := wp.forward(g, m.subFrame, m.respBuf[:0])
-		m.respBuf = resp[:0]
+		ans, err := wp.forwardDecide(g, m)
 		if err != nil {
 			return wire.AppendError(dst, req.Seq, wire.ErrCodeUnavailable,
 				fmt.Sprintf("backend group %s: %v", wp.p.ring.Backends()[g].Name, err))
 		}
-		if typ != wire.TypeDecideResponse {
-			// Propagate the backend's own error (stale DB, malformed)
-			// verbatim — it already echoes the client's sequence number.
-			return wp.relay(dst, req.Seq, typ, resp)
+		if ans.typ != wire.TypeDecideResponse {
+			// Propagate the backend's own error (stale DB, malformed,
+			// a final drain goaway).
+			return relay(dst, req.Seq, ans.typ, ans.payload)
 		}
-		if err := wire.ParseDecideResponse(resp, &m.resp); err != nil {
+		if err := wire.ParseDecideResponse(ans.payload, &m.resp); err != nil {
 			return wire.AppendError(dst, req.Seq, wire.ErrCodeMalformed,
 				"backend response: "+err.Error())
 		}
@@ -377,178 +329,119 @@ func (wp *WireProxy) handleDecide(dst []byte, payload []byte, req *wire.DecideRe
 	})
 }
 
-// relay appends a backend frame (response or error) for the client,
-// rebuilding the header around the payload bytes.
-func (wp *WireProxy) relay(dst []byte, seq uint32, typ byte, payload []byte) []byte {
-	if typ != wire.TypeDecideResponse && typ != wire.TypeError {
-		return wire.AppendError(dst, seq, wire.ErrCodeMalformed,
-			fmt.Sprintf("backend answered unexpected frame type %#x", typ))
+// relay appends a backend answer for the client: a DecideResponse
+// verbatim, an Error frame re-stamped with the client's sequence number
+// (a drain goaway carries seq 0).
+func relay(dst []byte, seq uint32, typ byte, payload []byte) []byte {
+	switch typ {
+	case wire.TypeDecideResponse:
+		dst = wire.AppendHeader(dst, typ, len(payload))
+		return append(dst, payload...)
+	case wire.TypeError:
+		if _, code, msg, err := wire.ParseError(payload); err == nil {
+			return wire.AppendError(dst, seq, code, msg)
+		}
 	}
-	dst = wire.AppendHeader(dst, typ, len(payload))
-	return append(dst, payload...)
+	return wire.AppendError(dst, seq, wire.ErrCodeMalformed,
+		fmt.Sprintf("backend answered unexpected frame type %#x", typ))
 }
 
-// errFrame reports a backend Error frame treated as an attempt failure
-// (code Unavailable: the replica is draining or closed).
-type errFrame struct {
-	code wire.ErrCode
-	msg  string
+// wireAnswer is one backend frame: its type and a private copy of its
+// payload.
+type wireAnswer struct {
+	typ     byte
+	payload []byte
 }
 
-func (e *errFrame) Error() string {
-	return fmt.Sprintf("backend error frame code %d: %s", e.code, e.msg)
+// forwardDecide forwards m.subFrame to group g under the lane's hedge.
+// The first forward appends its answer to m.respBuf; a hedged one races
+// it concurrently, so it gets a buffer of its own, and the winner's
+// buffer becomes m.respBuf.
+func (wp *WireProxy) forwardDecide(g int, m *mergeState) (wireAnswer, error) {
+	ans, err := hedge(wp.ctx, wp.lane, func(ctx context.Context, hedged bool) (wireAnswer, error) {
+		var buf []byte
+		if !hedged {
+			buf = m.respBuf
+		}
+		return wp.forward(ctx, g, m.subFrame, buf)
+	})
+	if err == nil {
+		m.respBuf = ans.payload
+	}
+	return ans, err
 }
 
-// forward runs the retry loop for one request frame against group g,
-// mirroring the JSON proxy: bounded retries with backoff, per-replica
-// breakers, prober health, ring spill when the group has no wire-capable
-// replica left. The response payload is appended to respBuf (a copy —
-// it must outlive the pooled connection's read buffer).
-func (wp *WireProxy) forward(g int, frame []byte, respBuf []byte) (byte, []byte, error) {
-	attempts := 1 + wp.p.opt.retries() // decide frames are idempotent
-	var lastErr error
-	tried := -1
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			wp.retried.Inc()
-			time.Sleep(wp.p.opt.Backoff.Delay(a-1, wp.p.rnd))
-		}
-		ri := wp.pick(g, tried)
-		if ri < 0 {
-			ri = wp.pick(-1, tried)
-		}
-		if ri < 0 {
-			lastErr = errNoReplica
-			continue
-		}
-		tried = ri
-		pool := wp.pools[ri]
-		typ, resp, err := pool.roundTrip(wp.dials, wp.p.opt.attemptTimeout(), frame, respBuf)
-		if err == nil && typ == wire.TypeError {
-			if _, code, msg, perr := wire.ParseError(resp); perr == nil && code == wire.ErrCodeUnavailable {
-				err = &errFrame{code: code, msg: msg}
-			}
-		}
+// forward runs one request frame against group g (g < 0 = any group)
+// through the wire lane's attempt loop, appending the answer payload to
+// buf[:0]. Decide and Hello frames are idempotent.
+func (wp *WireProxy) forward(ctx context.Context, g int, frame, buf []byte) (wireAnswer, error) {
+	return forward(ctx, wp.lane, g, 1+wp.p.opt.retries(), func(ctx context.Context, ri int) (wireAnswer, bool, error) {
+		typ, payload, err := wp.pools[ri].roundTrip(ctx, wp.dials, frame, buf[:0])
 		if err != nil {
-			pool.breaker.Failure()
-			wp.attempts.Inc()
-			lastErr = err
-			continue
+			return wireAnswer{}, false, err
 		}
-		pool.breaker.Success()
-		return typ, resp, nil
-	}
-	wp.failures.Add(1)
-	if lastErr == nil {
-		lastErr = errNoReplica
-	}
-	return 0, respBuf, lastErr
+		goaway := false
+		if typ == wire.TypeError {
+			_, code, _, perr := wire.ParseError(payload)
+			goaway = perr == nil && code == wire.ErrCodeUnavailable
+		}
+		return wireAnswer{typ: typ, payload: payload}, goaway, nil
+	})
 }
 
-// pick selects the next admitted wire-capable replica of group g
-// (rotating), skipping skip; g < 0 means any group.
-func (wp *WireProxy) pick(g, skip int) int {
-	idxs := wp.all
-	var ctr *atomic.Uint32
-	if g >= 0 {
-		idxs = wp.byGroup[g]
-		ctr = &wp.rr[g]
-	} else {
-		ctr = &wp.ar
+// fetchMeta forwards a Hello through the wire lane and publishes the
+// answer as the routing table.
+func (wp *WireProxy) fetchMeta() (*wireTable, error) {
+	ans, err := wp.forward(wp.ctx, -1, wire.AppendHello(nil), nil)
+	if err != nil {
+		return nil, err
 	}
-	if len(idxs) == 0 {
-		return -1
+	if ans.typ != wire.TypeMeta {
+		return nil, fmt.Errorf("backend answered frame type %#x to Hello", ans.typ)
 	}
-	start := int(ctr.Add(1))
-	for k := 0; k < len(idxs); k++ {
-		ri := idxs[(start+k)%len(idxs)]
-		if ri == skip || !wp.p.replicaHealthy(ri) {
-			continue
-		}
-		if !wp.pools[ri].breaker.Allow() {
-			continue
-		}
-		return ri
+	var meta wire.Meta
+	if err := wire.ParseMeta(ans.payload, &meta); err != nil {
+		return nil, err
 	}
-	return -1
-}
-
-// ensureMeta returns the cached complete Meta frame, fetching it from
-// the first wire replica that answers a Hello when not yet cached. The
-// benchmark table it carries also feeds the canonical routing key.
-func (wp *WireProxy) ensureMeta() ([]byte, error) {
-	wp.metaMu.Lock()
-	defer wp.metaMu.Unlock()
-	if wp.metaRaw != nil {
-		return wp.metaRaw, nil
+	t := &wireTable{
+		frame:   append(wire.AppendHeader(nil, wire.TypeMeta, len(ans.payload)), ans.payload...),
+		benches: make(map[uint16]string, len(meta.Benches)),
 	}
-	hello := wire.AppendHello(nil)
-	var lastErr error
-	for _, ri := range wp.all {
-		pool := wp.pools[ri]
-		if !pool.breaker.Allow() {
-			continue
-		}
-		typ, resp, err := pool.roundTrip(wp.dials, wp.p.opt.attemptTimeout(), hello, nil)
-		if err != nil || typ != wire.TypeMeta {
-			pool.breaker.Failure()
-			if err == nil {
-				err = fmt.Errorf("replica %s answered frame type %#x to Hello", pool.addr, typ)
-			}
-			lastErr = err
-			continue
-		}
-		pool.breaker.Success()
-		var meta wire.Meta
-		if err := wire.ParseMeta(resp, &meta); err != nil {
-			lastErr = err
-			continue
-		}
-		for _, b := range meta.Benches {
-			wp.benches[b.ID] = b.Name
-		}
-		wp.metaRaw = wire.AppendHeader(nil, wire.TypeMeta, len(resp))
-		wp.metaRaw = append(wp.metaRaw, resp...)
-		return wp.metaRaw, nil
+	for _, b := range meta.Benches {
+		t.benches[b.ID] = b.Name
 	}
-	if lastErr == nil {
-		lastErr = errNoReplica
-	}
-	return nil, lastErr
+	wp.table.Store(t)
+	return t, nil
 }
 
 // wireSchemeNames maps interned scheme IDs to the canonical lowercased
 // names the JSON path routes by, keeping both codecs' placement aligned.
 var wireSchemeNames = [...]string{"static", "dvfs", "rm1", "rm2", "rm3", "ucp"}
 
-// routingKey renders query qi of req in the same canonical form as
+// appendWireKey renders query qi of req in the same canonical form as
 // RoutingKey renders a JSON query, so a key decided over HTTP and the
-// same key decided over the wire land on the same backend LRU.
-func (wp *WireProxy) routingKey(dst []byte, req *wire.DecideRequest, qi int) []byte {
+// same key decided over the wire land on the same backend LRU. Bench
+// names come from t; an ID it does not list renders as "#id".
+func appendWireKey(dst []byte, req *wire.DecideRequest, qi int, t *wireTable) []byte {
+	var scheme string
 	if int(req.Scheme) < len(wireSchemeNames) {
-		dst = append(dst, wireSchemeNames[req.Scheme]...)
+		scheme = wireSchemeNames[req.Scheme]
 	} else {
-		dst = strconv.AppendInt(dst, int64(req.Scheme), 10)
+		scheme = strconv.Itoa(int(req.Scheme))
 	}
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(req.Model), 10)
-	dst = append(dst, '/')
+	var slacks []float64
+	var slack float64
 	switch {
 	case req.Flags&wire.FlagSlackPerCore != 0:
-		for i, v := range req.Slacks {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-		}
-	case req.Flags&wire.FlagSlackUniform != 0 && req.Slack != 0:
-		dst = strconv.AppendFloat(dst, req.Slack, 'g', -1, 64)
+		slacks = req.Slacks
+	case req.Flags&wire.FlagSlackUniform != 0:
+		slack = req.Slack
 	}
+	dst = appendKeyHead(dst, scheme, int(req.Model), slacks, slack)
 	n := int(req.NCores)
-	wp.metaMu.Lock()
 	for _, a := range req.Apps[qi*n : (qi+1)*n] {
 		dst = append(dst, '|')
-		if name, ok := wp.benches[a.Bench]; ok {
+		if name, ok := t.benches[a.Bench]; ok {
 			dst = append(dst, name...)
 		} else {
 			dst = append(dst, '#')
@@ -557,12 +450,11 @@ func (wp *WireProxy) routingKey(dst []byte, req *wire.DecideRequest, qi int) []b
 		dst = append(dst, ':')
 		dst = strconv.AppendInt(dst, int64(a.Phase), 10)
 	}
-	wp.metaMu.Unlock()
 	return dst
 }
 
 // get pops an idle connection or dials a fresh one.
-func (pool *wirePool) get(dials *ops.Counter, timeout time.Duration) (*wireConn, error) {
+func (pool *wirePool) get(ctx context.Context, dials *ops.Counter) (*wireConn, error) {
 	pool.mu.Lock()
 	if n := len(pool.idle); n > 0 {
 		wc := pool.idle[n-1]
@@ -571,10 +463,9 @@ func (pool *wirePool) get(dials *ops.Counter, timeout time.Duration) (*wireConn,
 		return wc, nil
 	}
 	pool.mu.Unlock()
-	if timeout <= 0 {
-		timeout = defaultWireTimeout
-	}
-	c, err := net.DialTimeout("tcp", pool.addr, timeout)
+	var d net.Dialer
+	//qosrma:allow(ctxdeadline) ctx is a wire-lane attempt context: forward gives every one the lane's per-attempt deadline, which ServeWire floors at defaultWireTimeout
+	c, err := d.DialContext(ctx, "tcp", pool.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -600,35 +491,44 @@ func (pool *wirePool) drop() {
 	}
 }
 
-// roundTrip writes one request frame and reads one response frame,
-// appending the payload to respBuf (copied out of the connection's read
-// buffer). Any error closes the connection instead of pooling it — the
-// next attempt reconnects.
-func (pool *wirePool) roundTrip(dials *ops.Counter, timeout time.Duration, frame []byte, respBuf []byte) (byte, []byte, error) {
-	wc, err := pool.get(dials, timeout)
+// roundTrip writes one request frame and reads one response frame under
+// ctx's deadline, appending the payload to buf (copied out of the
+// connection's read buffer). ctx ending mid-exchange cuts the
+// connection's deadline, so a cancelled attempt returns at once. Any
+// error closes the connection instead of pooling it — the next attempt
+// reconnects.
+func (pool *wirePool) roundTrip(ctx context.Context, dials *ops.Counter, frame, buf []byte) (byte, []byte, error) {
+	wc, err := pool.get(ctx, dials)
 	if err != nil {
-		return 0, respBuf, err
+		return 0, nil, fmt.Errorf("replica %s: %w", pool.addr, err)
 	}
-	// A forward attempt must always be bounded. Unlike the HTTP path
-	// there is no caller context to fall back on, so a disabled
-	// per-attempt timeout (AttemptTimeout < 0) is floored rather than
-	// skipped — a backend that accepts the connection and then goes
-	// silent would otherwise wedge this goroutine forever.
-	if timeout <= 0 {
-		timeout = defaultWireTimeout
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(defaultWireTimeout)
 	}
-	wc.c.SetDeadline(time.Now().Add(timeout)) //nolint:errcheck // net.TCPConn deadlines cannot fail
-	if _, err := wc.c.Write(frame); err != nil {
-		wc.c.Close()
-		return 0, respBuf, fmt.Errorf("replica %s: %w", pool.addr, err)
+	wc.c.SetDeadline(deadline) //nolint:errcheck // net.TCPConn deadlines cannot fail
+	stop := context.AfterFunc(ctx, func() {
+		wc.c.SetDeadline(time.Unix(1, 0)) //nolint:errcheck // net.TCPConn deadlines cannot fail
+	})
+	var typ byte
+	var payload []byte
+	_, err = wc.c.Write(frame)
+	if err == nil {
+		typ, payload, err = wc.r.Next()
 	}
-	typ, payload, err := wc.r.Next()
 	if err != nil {
+		stop()
 		wc.c.Close()
-		return 0, respBuf, fmt.Errorf("replica %s: %w", pool.addr, err)
+		return 0, nil, fmt.Errorf("replica %s: %w", pool.addr, err)
 	}
-	respBuf = append(respBuf, payload...)
-	wc.c.SetDeadline(time.Time{}) //nolint:errcheck // net.TCPConn deadlines cannot fail
-	pool.put(wc)
-	return typ, respBuf, nil
+	buf = append(buf, payload...)
+	if stop() {
+		wc.c.SetDeadline(time.Time{}) //nolint:errcheck // net.TCPConn deadlines cannot fail
+		pool.put(wc)
+	} else {
+		// ctx ended meanwhile: its deadline cut could land on the next
+		// user of a pooled connection.
+		wc.c.Close()
+	}
+	return typ, buf, nil
 }

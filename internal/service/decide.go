@@ -573,9 +573,6 @@ func (s *Server) decideInto(sn *snapshot, queries []*decideQuery, results []deci
 	if s.closed {
 		return errServerClosed
 	}
-	if s.draining.Load() {
-		return errDraining
-	}
 	var wg sync.WaitGroup
 	wg.Add(len(queries))
 	for i, q := range queries {
@@ -602,8 +599,15 @@ func (sn *snapshot) settingsJSON(settings []arch.Setting) []SettingJSON {
 	return out
 }
 
-// handleDecide is POST /v1/decide.
+// handleDecide is POST /v1/decide. A request arriving during a drain is
+// refused here, at the entry point: decideInto itself serves every
+// caller until Close, so a wire frame the connection loop read before
+// the drain began is still answered ahead of its goaway.
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
+	if s.draining.Load() {
+		writeUnavailable(w, errDraining)
+		return
+	}
 	if !s.gate.TryAcquire() {
 		writeUnavailable(w, errOverloaded)
 		return
