@@ -3,6 +3,9 @@ package service
 import (
 	"sync"
 	"testing"
+
+	"qosrma/internal/core"
+	"qosrma/internal/wire"
 )
 
 // Pins backing the //qosrma:noalloc annotations on the shard worker: a
@@ -12,14 +15,14 @@ import (
 // table path (rm1/rm2/rm3) and the manager path alike (dvfs; UCP's
 // lookahead allocates its own scratch and is not pinned).
 
-func testShardQuery(t *testing.T) (*Server, *shard, *decideQuery) {
+func testShardQuery(t *testing.T) (*Server, *shard, queryKey) {
 	t.Helper()
 	return testShardQueryFor(t, "")
 }
 
 // testShardQueryFor resolves a one-bench co-phase query under a scheme
 // against a fresh single-shard server.
-func testShardQueryFor(t *testing.T, scheme string) (*Server, *shard, *decideQuery) {
+func testShardQueryFor(t *testing.T, scheme string) (*Server, *shard, queryKey) {
 	t.Helper()
 	db := testDB(t)
 	srv := New(db, nil, Options{Shards: 1})
@@ -72,15 +75,59 @@ func TestShardProcessHitSteadyStateAllocs(t *testing.T) {
 	var res decideResult
 	var wg sync.WaitGroup
 	wg.Add(1)
-	sh.process(task{q: q, sn: sn, res: &res, wg: &wg}) // miss: computes and caches
+	h := keyHash(q)
+	sh.process(task{key: q, h: h, sn: sn, res: &res, wg: &wg}) // miss: computes and caches
 	if !res.decided {
 		t.Fatal("warm-up process made no decision")
 	}
 	got := testing.AllocsPerRun(100, func() {
 		wg.Add(1)
-		sh.process(task{q: q, sn: sn, res: &res, wg: &wg})
+		sh.process(task{key: q, h: h, sn: sn, res: &res, wg: &wg})
 	})
 	if got != 0 {
 		t.Fatalf("shard.process allocated %.0f times per cached decision, want 0", got)
+	}
+}
+
+// TestWireFrameHitAllocs: once its keys are cached, a wire frame resolves
+// into the connection's key arena and fans out on the connection's
+// WaitGroup without a single heap allocation.
+func TestWireFrameHitAllocs(t *testing.T) {
+	db := testDB(t)
+	srv := New(db, nil, Options{Shards: 2, CacheSize: 64})
+	t.Cleanup(func() { srv.Close() })
+	sn := srv.snap.Load()
+	n := db.Sys.NumCores
+	var sc wireScratch
+	sc.req = wire.DecideRequest{Scheme: uint8(core.SchemeCoordDVFSCache), NCores: uint8(n),
+		Flags: wire.FlagSlackUniform, Slack: 0.1}
+	for qi := 0; qi < 8; qi++ {
+		for c := 0; c < n; c++ {
+			sc.req.Apps = append(sc.req.Apps, wire.App{Bench: uint16((qi + c) % len(db.Benches))})
+		}
+	}
+	frame := func() {
+		count, _, err := srv.resolveWireQueries(sn, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.decideInto(sn, sc.keys, sc.results[:count], &sc.wg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame() // misses: computes and caches every key
+	hits := func() (sum uint64) {
+		for _, sh := range srv.shards {
+			sum += sh.hits.Load()
+		}
+		return sum
+	}
+	before := hits()
+	if got := testing.AllocsPerRun(100, frame); got != 0 {
+		t.Fatalf("a warm all-hit wire frame allocated %.0f times, want 0", got)
+	}
+	// AllocsPerRun makes one warm-up call besides the measured runs.
+	if got, want := hits()-before, uint64(101*8); got != want {
+		t.Fatalf("%d cache hits over the measured frames, want %d", got, want)
 	}
 }

@@ -45,8 +45,9 @@ func (sh *shard) runAudit(a *auditTask) {
 			return false
 		}
 		r.sampled++
-		fresh := computeFresh(sh.sn, e.q)
-		if !fresh.equal(e.res) || !fresh.equal(sh.compute(e.q)) {
+		k := queryKey(e.key)
+		fresh := computeFresh(sh.sn, k)
+		if !fresh.equal(e.res) || !fresh.equal(sh.compute(k)) {
 			r.mismatches++
 		}
 		return true

@@ -84,24 +84,22 @@ func tableScheme(s core.Scheme) bool {
 // slice, as Manager.Settings returns, because the LRU retains them.
 //
 //qosrma:noalloc
-func (t *curveTable) decide(q *decideQuery) ([]arch.Setting, bool) {
+func (t *curveTable) decide(k queryKey) ([]arch.Setting, bool) {
 	var (
 		row      *curveRow
 		rowSlack float64
 	)
 	for i := range t.set {
-		slack := 0.0
-		if q.slack != nil {
-			slack = q.slack[i]
-		}
+		slack := k.slack(i)
 		if row == nil || slack != rowSlack {
-			row, rowSlack = t.row(curveKey{scheme: q.cfg.scheme, model: q.cfg.model, slack: slack}), slack
+			row, rowSlack = t.row(curveKey{scheme: k.scheme(), model: k.model(), slack: slack}), slack
 		}
-		c := &row.curves[t.sn.pairBase[q.ids[i]]+q.phases[i]]
+		id, phase := k.bench(i), k.phase(i)
+		c := &row.curves[t.sn.pairBase[id]+phase]
 		if len(c.Options) == 0 {
 			// First use of this (bench, phase) under this configuration.
 			// Curve.Core records core 0; the reduction never reads it.
-			FillOracleStats(t.sn.db, q.ids[i], q.phases[i], 0, &t.st)
+			FillOracleStats(t.sn.db, id, phase, 0, &t.st)
 			row.pred.BuildCurveInto(&t.st, row.opt, c)
 		}
 		t.set[i] = c

@@ -82,7 +82,7 @@ func TestCurveTableMatchesLibrary(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		srv := New(db, nil, Options{Shards: shards, Batch: 8, CacheSize: -1})
 		sn := srv.snap.Load()
-		queries := make([]*decideQuery, len(wireQs))
+		queries := make([]queryKey, len(wireQs))
 		for i := range wireQs {
 			q, err := resolveQuery(sn, &wireQs[i])
 			if err != nil {
@@ -144,7 +144,7 @@ func TestShardConfigStateBounded(t *testing.T) {
 	for lo := 0; lo < distinct; lo += batch {
 		var (
 			wireQs  []DecideQuery
-			queries []*decideQuery
+			queries []queryKey
 		)
 		for k := lo; k < lo+batch; k++ {
 			scheme := "rm2"
@@ -171,7 +171,7 @@ func TestShardConfigStateBounded(t *testing.T) {
 		}
 		for i, res := range results {
 			q := queries[i]
-			wantOK, want := libraryDecide(db, q.cfg.scheme, q.cfg.model, q.slack, wireQs[i].Apps)
+			wantOK, want := libraryDecide(db, q.scheme(), q.model(), q.slacks(db.Sys.NumCores), wireQs[i].Apps)
 			if res.decided != wantOK || (wantOK && !res.equal(decideResult{decided: true, settings: want})) {
 				t.Fatalf("slack %g %s: served %+v, library %v %v", wireQs[i].Slack, wireQs[i].Scheme, res, wantOK, want)
 			}

@@ -1,11 +1,12 @@
 // Decision path of the service: /v1/decide requests are parsed and
-// validated on the handler goroutine against the current snapshot, then
-// routed — one task per query — to a shard picked by hashing the query's
-// canonical co-phase key. Each shard runs one worker goroutine that
-// drains its queue in micro-batches and owns everything the hot path
-// touches: the decision LRU, the curve table, the per-configuration
-// managers and the per-core IntervalStats scratch. Nothing on the
-// compute path locks.
+// validated on the handler goroutine against the current snapshot into
+// one binary key each (key.go), then routed — one task per query — to a
+// shard picked by the key's hash. The hash is computed once, at fan-out,
+// and the task carries it to the shard's LRU and admission filter. Each
+// shard runs one worker goroutine that drains its queue in micro-batches
+// and owns everything the hot path touches: the decision LRU, the curve
+// table, the per-configuration managers and the per-core IntervalStats
+// scratch. Nothing on the compute path locks.
 //
 // A cache miss is computed one of two ways. The coordinated schemes
 // (RM1/RM2/RM3) read each core's energy curve from the shard's curve
@@ -36,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,53 +123,16 @@ func (a decideResult) equal(b decideResult) bool {
 	return true
 }
 
-// decideQuery is a validated, resolved query: benchmarks interned, the
-// manager configuration canonicalized, and the routing/cache key built.
-// The key is bytes, not a string, so the wire path can stage it in
-// connection-owned scratch and the cache hit path never materializes a
-// string (map lookups convert without allocating).
-type decideQuery struct {
-	cfg    managerKey
-	slack  []float64 // nil for zero slack
-	ids    []simdb.BenchID
-	phases []int
-	key    []byte
-}
-
-// clone deep-copies the query so it can outlive the buffers it was
-// resolved into — what the cache does before retaining a wire-path query
-// whose slices alias per-connection scratch. The key is not copied: a
-// cached entry owns its key as a string.
-func (q *decideQuery) clone() *decideQuery {
-	c := &decideQuery{cfg: q.cfg}
-	if q.slack != nil {
-		c.slack = append([]float64(nil), q.slack...)
-	}
-	c.ids = append([]simdb.BenchID(nil), q.ids...)
-	c.phases = append([]int(nil), q.phases...)
-	return c
-}
-
-// managerKey identifies one manager configuration in a shard's pool.
-type managerKey struct {
-	scheme core.Scheme
-	model  core.ModelKind
-	// slackKey is the canonical rendering of the per-core slack vector
-	// ("" when every core has zero slack), keeping the struct comparable.
-	slackKey string
-}
-
 // task is one unit of work in flight through a shard: a decide query
-// (q/res/wg set) or a self-audit request (audit set). ephemeral marks a
-// query resolved into connection-owned scratch (the wire path): the
-// worker must clone it before the cache may retain it.
+// (key/h/res/wg set, h being keyHash(key)) or a self-audit request
+// (audit set).
 type task struct {
-	q         *decideQuery
-	sn        *snapshot
-	res       *decideResult
-	wg        *sync.WaitGroup
-	audit     *auditTask
-	ephemeral bool
+	key   queryKey
+	h     uint64
+	sn    *snapshot
+	res   *decideResult
+	wg    *sync.WaitGroup
+	audit *auditTask
 }
 
 // shard owns a partition of the decision key space.
@@ -182,7 +145,7 @@ type shard struct {
 	sn    *snapshot
 	lru   *lru
 	table *curveTable
-	mgrs  map[managerKey]*core.Manager
+	mgrs  map[string]*core.Manager // by queryKey.config()
 
 	// Reusable per-core statistics buffers for the manager path; pointers
 	// alias the buffers and are re-filled before every DecideAll (the
@@ -207,7 +170,7 @@ func (sh *shard) adopt(sn *snapshot) {
 	sh.sn = sn
 	sh.lru = newLRU(sh.srv.opt.CacheSize)
 	sh.table = newCurveTable(sn)
-	sh.mgrs = make(map[managerKey]*core.Manager, 8)
+	sh.mgrs = make(map[string]*core.Manager, 8)
 	sh.stats = make([]core.IntervalStats, n)
 	sh.statPtrs = make([]*core.IntervalStats, n)
 }
@@ -251,9 +214,9 @@ func parseModel(model int, scheme core.Scheme) (core.ModelKind, error) {
 	}
 }
 
-// resolveQuery validates one wire query against the snapshot's database
-// and builds its canonical routing/cache key.
-func resolveQuery(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
+// resolveQuery validates one JSON query against the snapshot's database
+// and builds its key.
+func resolveQuery(sn *snapshot, q *DecideQuery) (queryKey, error) {
 	db := sn.db
 	n := db.Sys.NumCores
 	if len(q.Apps) != n {
@@ -267,31 +230,20 @@ func resolveQuery(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	var slack []float64
+	slack := q.Slacks
 	switch {
-	case len(q.Slacks) > 0:
-		if len(q.Slacks) != n {
-			return nil, fmt.Errorf("slacks needs %d entries, got %d", n, len(q.Slacks))
+	case len(slack) > 0:
+		if len(slack) != n {
+			return nil, fmt.Errorf("slacks needs %d entries, got %d", n, len(slack))
 		}
-		slack = q.Slacks
 	case q.Slack != 0:
-		slack = make([]float64, n)
-		for i := range slack {
-			slack[i] = q.Slack
-		}
+		slack = []float64{q.Slack}
 	}
-	for i, v := range slack {
-		if err := checkSlack(i, v); err != nil {
-			return nil, err
-		}
+	key, err := appendKeyConfig(make([]byte, 0, keyHead+8*len(slack)+4*n), scheme, model, slack)
+	if err != nil {
+		return nil, err
 	}
-
-	rq := &decideQuery{
-		slack:  slack,
-		ids:    make([]simdb.BenchID, n),
-		phases: make([]int, n),
-	}
-	for i, app := range q.Apps {
+	for _, app := range q.Apps {
 		id, ok := db.BenchIDOf(app.Bench)
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", app.Bench)
@@ -300,12 +252,9 @@ func resolveQuery(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
 		if app.Phase < 0 || app.Phase >= np {
 			return nil, fmt.Errorf("%s has phases 0..%d, got %d", app.Bench, np-1, app.Phase)
 		}
-		rq.ids[i] = id
-		rq.phases[i] = app.Phase
+		key = appendKeyApp(key, id, app.Phase)
 	}
-	rq.cfg = managerKey{scheme: scheme, model: model, slackKey: slackKeyOf(slack)}
-	rq.key = appendQueryKey(make([]byte, 0, 64), rq.cfg, rq.ids, rq.phases)
-	return rq, nil
+	return key, nil
 }
 
 // checkSlack validates one core's slack: a finite, non-negative
@@ -322,44 +271,9 @@ func checkSlack(i int, v float64) error {
 	return nil
 }
 
-// slackKeyOf renders the canonical slack-vector key ("" for all-zero) —
-// one rendering shared by the JSON and wire paths, so both resolve to
-// the same manager pool entries and cache keys.
-func slackKeyOf(slack []float64) string {
-	if slack == nil {
-		return ""
-	}
-	parts := make([]string, len(slack))
-	for i, v := range slack {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-// appendQueryKey appends the canonical routing/cache key of one resolved
-// query. JSON and wire queries with the same semantics produce the same
-// bytes: that is what lets the two codecs share shard placement, cached
-// decisions and audit coverage.
-func appendQueryKey(dst []byte, cfg managerKey, ids []simdb.BenchID, phases []int) []byte {
-	dst = strconv.AppendInt(dst, int64(cfg.scheme), 10)
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(cfg.model), 10)
-	dst = append(dst, '/')
-	dst = append(dst, cfg.slackKey...)
-	for i, id := range ids {
-		dst = append(dst, '|')
-		dst = strconv.AppendInt(dst, int64(id), 10)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(phases[i]), 10)
-	}
-	return dst
-}
-
-// shardOf routes a canonical key to its owning shard. The inlined
-// keyHash replaces the old hash.Hash32 construction, which allocated on
-// every fan-out.
-func (s *Server) shardOf(key []byte) *shard {
-	return s.shards[uint32(keyHash(key))%uint32(len(s.shards))]
+// shardOf routes a key, by its hash, to the owning shard.
+func (s *Server) shardOf(h uint64) *shard {
+	return s.shards[uint32(h)%uint32(len(s.shards))]
 }
 
 // FillOracleStats fills st with the perfect interval statistics of one
@@ -393,16 +307,16 @@ func OracleStats(db *simdb.DB, id simdb.BenchID, phase, coreID int) *core.Interv
 	return st
 }
 
-// newManager builds a library manager for one configuration over a
+// newManager builds a library manager for a key's configuration over a
 // snapshot's database.
-func newManager(sn *snapshot, q *decideQuery) *core.Manager {
+func newManager(sn *snapshot, k queryKey) *core.Manager {
 	db := sn.db
 	return core.NewManager(core.Config{
 		Sys:    db.Sys,
 		Power:  power.DefaultParams(db.Sys),
-		Scheme: q.cfg.scheme,
-		Model:  q.cfg.model,
-		Slack:  append([]float64(nil), q.slack...),
+		Scheme: k.scheme(),
+		Model:  k.model(),
+		Slack:  k.slacks(db.Sys.NumCores),
 	})
 }
 
@@ -411,14 +325,14 @@ func newManager(sn *snapshot, q *decideQuery) *core.Manager {
 // the shard-local reuse that keeps repeated decisions allocation-free.
 // The pool holds at most maxShardConfigs managers and is dropped whole
 // when a new configuration would exceed that.
-func (sh *shard) manager(q *decideQuery) *core.Manager {
-	m, ok := sh.mgrs[q.cfg]
+func (sh *shard) manager(k queryKey) *core.Manager {
+	m, ok := sh.mgrs[string(k.config())]
 	if !ok {
 		if len(sh.mgrs) >= maxShardConfigs {
 			clear(sh.mgrs)
 		}
-		m = newManager(sh.sn, q)
-		sh.mgrs[q.cfg] = m
+		m = newManager(sh.sn, k)
+		sh.mgrs[string(k.config())] = m
 	}
 	return m
 }
@@ -428,20 +342,20 @@ func (sh *shard) manager(q *decideQuery) *core.Manager {
 // on a pooled manager with the shard's reusable statistics scratch.
 //
 //qosrma:noalloc
-func (sh *shard) compute(q *decideQuery) decideResult {
+func (sh *shard) compute(k queryKey) decideResult {
 	db := sh.sn.db
 	var (
 		settings []arch.Setting
 		ok       bool
 	)
-	if tableScheme(q.cfg.scheme) {
-		settings, ok = sh.table.decide(q)
+	if tableScheme(k.scheme()) {
+		settings, ok = sh.table.decide(k)
 	} else {
 		for i := range sh.stats {
-			FillOracleStats(db, q.ids[i], q.phases[i], i, &sh.stats[i])
+			FillOracleStats(db, k.bench(i), k.phase(i), i, &sh.stats[i])
 			sh.statPtrs[i] = &sh.stats[i]
 		}
-		settings, ok = sh.manager(q).DecideAll(sh.statPtrs)
+		settings, ok = sh.manager(k).DecideAll(sh.statPtrs)
 	}
 	if !ok {
 		settings = baselineSettings(db)
@@ -455,16 +369,16 @@ func (sh *shard) compute(q *decideQuery) decideResult {
 // curve table — it answers stale-generation tasks after a hot-swap and
 // recomputes the reference answers the self-checker compares cached and
 // table decisions against.
-func computeFresh(sn *snapshot, q *decideQuery) decideResult {
+func computeFresh(sn *snapshot, k queryKey) decideResult {
 	db := sn.db
 	n := db.Sys.NumCores
 	stats := make([]core.IntervalStats, n)
 	ptrs := make([]*core.IntervalStats, n)
 	for i := 0; i < n; i++ {
-		FillOracleStats(db, q.ids[i], q.phases[i], i, &stats[i])
+		FillOracleStats(db, k.bench(i), k.phase(i), i, &stats[i])
 		ptrs[i] = &stats[i]
 	}
-	settings, ok := newManager(sn, q).DecideAll(ptrs)
+	settings, ok := newManager(sn, k).DecideAll(ptrs)
 	if !ok {
 		settings = baselineSettings(db)
 	}
@@ -499,24 +413,19 @@ func (sh *shard) process(t task) {
 			// while it queued. Its answer must still come from that snapshot
 			// (no torn responses), so compute fresh and leave the cache —
 			// which now encodes the newer database — untouched.
-			*t.res = computeFresh(t.sn, t.q)
+			*t.res = computeFresh(t.sn, t.key)
 			t.wg.Done()
 			return
 		}
 	}
-	h := keyHash(t.q.key)
-	if res, ok := sh.lru.get(t.q.key, h); ok {
+	if res, ok := sh.lru.get(t.key, t.h); ok {
 		sh.hits.Add(1)
 		*t.res = res
 	} else {
 		sh.misses.Add(1)
-		res := sh.compute(t.q)
-		if sh.lru.admit(h) {
-			q := t.q
-			if t.ephemeral {
-				q = q.clone()
-			}
-			sh.lru.add(t.q.key, h, q, res)
+		res := sh.compute(t.key)
+		if sh.lru.admit(t.h) {
+			sh.lru.add(t.key, t.h, res)
 		} else if sh.srv.opt.CacheSize > 0 {
 			sh.admRejects.Add(1)
 		}
@@ -553,34 +462,36 @@ func (sh *shard) run() {
 // lock: while any decide holds it the workers cannot be stopped, so an
 // accepted task is always drained and wg.Wait cannot strand the handler;
 // after Close, requests fail fast instead of queueing into dead shards.
-func (s *Server) decide(sn *snapshot, queries []*decideQuery) ([]decideResult, error) {
-	results := make([]decideResult, len(queries))
-	if err := s.decideInto(sn, queries, results, false); err != nil {
+func (s *Server) decide(sn *snapshot, keys []queryKey) ([]decideResult, error) {
+	results := make([]decideResult, len(keys))
+	var wg sync.WaitGroup
+	if err := s.decideInto(sn, keys, results, &wg); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// decideInto is decide with caller-owned result storage: results[i]
-// receives the answer to queries[i]. The binary path calls it with
-// per-connection scratch (and ephemeral=true, because those queries
-// alias connection buffers the cache must not retain), which is what
-// keeps a steady-state wire decision free of per-request allocation.
-func (s *Server) decideInto(sn *snapshot, queries []*decideQuery, results []decideResult, ephemeral bool) error {
+// decideInto is decide with caller-owned result storage and WaitGroup:
+// results[i] receives the answer to keys[i]. The binary path passes
+// per-connection scratch for all three, which keeps a steady-state wire
+// frame free of heap allocation. Keys may alias that scratch: the LRU
+// copies a key before retaining it, and every task is done when
+// decideInto returns.
+func (s *Server) decideInto(sn *snapshot, keys []queryKey, results []decideResult, wg *sync.WaitGroup) error {
 	start := time.Now()
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	if s.closed {
 		return errServerClosed
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(queries))
-	for i, q := range queries {
-		s.shardOf(q.key).ch <- task{q: q, sn: sn, res: &results[i], wg: &wg, ephemeral: ephemeral}
+	wg.Add(len(keys))
+	for i, k := range keys {
+		h := keyHash(k)
+		s.shardOf(h).ch <- task{key: k, h: h, sn: sn, res: &results[i], wg: wg}
 	}
 	wg.Wait()
 	s.metrics.decideSeconds.Observe(time.Since(start).Seconds())
-	s.metrics.decideBatch.Observe(float64(len(queries)))
+	s.metrics.decideBatch.Observe(float64(len(keys)))
 	return nil
 }
 
@@ -629,16 +540,16 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(wire), s.opt.MaxBatch))
 		return
 	}
-	queries := make([]*decideQuery, len(wire))
+	keys := make([]queryKey, len(wire))
 	for i := range wire {
-		q, err := resolveQuery(sn, &wire[i])
+		k, err := resolveQuery(sn, &wire[i])
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
-		queries[i] = q
+		keys[i] = k
 	}
-	results, err := s.decide(sn, queries)
+	results, err := s.decide(sn, keys)
 	if err != nil {
 		writeUnavailable(w, err)
 		return

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"qosrma/internal/core"
+	"qosrma/internal/simdb"
 	"qosrma/internal/wire"
 )
 
@@ -59,10 +61,12 @@ func FuzzDecideRequest(f *testing.F) {
 
 // FuzzWireDecideFrame is FuzzDecideRequest for the binary codec: any
 // DecideRequest payload either fails to parse, is refused by
-// resolveWireQueries, or resolves to queries whose every slack is finite
-// and non-negative and which decide to one full settings vector each.
-// JSON cannot carry NaN or Inf; a wire frame can, so the seed corpus
-// (testdata/fuzz/FuzzWireDecideFrame) includes non-finite slacks.
+// resolveWireQueries, or resolves to keys that decode back to the
+// frame's scheme, model, per-core slack, bench and phase, whose every
+// slack is finite and non-negative, and which decide to one full
+// settings vector each. JSON cannot carry NaN or Inf; a wire frame can,
+// so the seed corpus (testdata/fuzz/FuzzWireDecideFrame) includes
+// non-finite slacks.
 func FuzzWireDecideFrame(f *testing.F) {
 	apps := []wire.App{{Bench: 0}, {Bench: 1}, {Bench: 2}, {Bench: 3}}
 	for _, req := range []wire.DecideRequest{
@@ -86,14 +90,34 @@ func FuzzWireDecideFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, q := range sc.qptrs[:count] {
-			for c, v := range q.slack {
-				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-					t.Fatalf("resolved query kept slack[%d] = %g", c, v)
+		if len(sc.keys) != count {
+			t.Fatalf("%d keys for %d queries", len(sc.keys), count)
+		}
+		req := &sc.req
+		n := int(req.NCores)
+		model, _ := parseModel(int(req.Model), core.Scheme(req.Scheme))
+		for qi, k := range sc.keys {
+			if k.scheme() != core.Scheme(req.Scheme) || k.model() != model {
+				t.Fatalf("key %d decodes to scheme %d model %d, frame has %d/%d", qi, k.scheme(), k.model(), req.Scheme, req.Model)
+			}
+			for c := 0; c < n; c++ {
+				want := 0.0
+				switch {
+				case req.Flags&wire.FlagSlackUniform != 0:
+					want = req.Slack
+				case req.Flags&wire.FlagSlackPerCore != 0:
+					want = req.Slacks[c]
+				}
+				if v := k.slack(c); v != want || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("key %d decodes slack[%d] = %g, frame has %g", qi, c, v, want)
+				}
+				a := req.Apps[qi*n+c]
+				if k.bench(c) != simdb.BenchID(a.Bench) || k.phase(c) != int(a.Phase) {
+					t.Fatalf("key %d core %d decodes to (%d, %d), frame has (%d, %d)", qi, c, k.bench(c), k.phase(c), a.Bench, a.Phase)
 				}
 			}
 		}
-		if err := srv.decideInto(sn, sc.qptrs[:count], sc.results[:count], true); err != nil {
+		if err := srv.decideInto(sn, sc.keys, sc.results[:count], &sc.wg); err != nil {
 			t.Fatal(err)
 		}
 		for i, res := range sc.results[:count] {

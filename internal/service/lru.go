@@ -2,15 +2,13 @@ package service
 
 import "container/list"
 
-// lruEntry is one cached decision. The resolved query is retained
-// alongside the result so the self-checker can recompute a cached answer
-// from scratch and compare; h is the key's 64-bit hash, kept so the
-// admission filter can estimate the eviction victim's frequency without
-// rehashing.
+// lruEntry is one cached decision. The key is the whole resolved query
+// (a queryKey), so the self-checker can decode it and recompute the
+// answer from scratch; h is the key's 64-bit hash, kept so the admission
+// filter can estimate the eviction victim's frequency without rehashing.
 type lruEntry struct {
 	key string
 	h   uint64
-	q   *decideQuery
 	res decideResult
 }
 
@@ -45,8 +43,9 @@ func newLRU(capacity int) *lru {
 }
 
 // keyHash is the shared 64-bit key hash (FNV-1a, inlined so the hot path
-// neither allocates a hash.Hash nor copies the key): it routes queries to
-// shards and feeds the admission filter's probe derivation.
+// neither allocates a hash.Hash nor copies the key). decideInto computes
+// it once per query; the task carries it to shard routing and to the
+// admission filter's probe derivation.
 func keyHash(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -100,13 +99,13 @@ func (l *lru) admit(h uint64) bool {
 // entry when a new key arrives at capacity. A key that is already
 // present is updated in place and marked most recently used — callers
 // need not guarantee absence.
-func (l *lru) add(key []byte, h uint64, q *decideQuery, res decideResult) {
+func (l *lru) add(key []byte, h uint64, res decideResult) {
 	if l.cap <= 0 {
 		return
 	}
 	if el, ok := l.byKey[string(key)]; ok {
 		e := el.Value.(*lruEntry)
-		e.q, e.res, e.h = q, res, h
+		e.res, e.h = res, h
 		l.order.MoveToFront(el)
 		return
 	}
@@ -115,8 +114,8 @@ func (l *lru) add(key []byte, h uint64, q *decideQuery, res decideResult) {
 		delete(l.byKey, back.Value.(*lruEntry).key)
 		l.order.Remove(back)
 	}
-	k := string(key) // the entry owns a stable copy of the key
-	l.byKey[k] = l.order.PushFront(&lruEntry{key: k, h: h, q: q, res: res})
+	k := string(key) // the entry owns a copy: key may alias connection scratch
+	l.byKey[k] = l.order.PushFront(&lruEntry{key: k, h: h, res: res})
 }
 
 // each visits cached entries in Go's randomized map order — which is what

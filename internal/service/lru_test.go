@@ -14,7 +14,7 @@ func put(l *lru, key string, r decideResult) (admitted bool) {
 	k := []byte(key)
 	h := keyHash(k)
 	if l.admit(h) {
-		l.add(k, h, &decideQuery{}, r)
+		l.add(k, h, r)
 		return true
 	}
 	return false
@@ -70,8 +70,7 @@ func TestLRUAddUpdatesInPlace(t *testing.T) {
 	put(l, "b", res(false))
 	k := []byte("a")
 	h := keyHash(k)
-	q2 := &decideQuery{}
-	l.add(k, h, q2, res(true))
+	l.add(k, h, res(true))
 	if l.len() != 2 {
 		t.Fatalf("len %d after duplicate add, want 2", l.len())
 	}
@@ -89,16 +88,16 @@ func TestLRUAddUpdatesInPlace(t *testing.T) {
 	if _, ok := getKey(l, "a"); !ok {
 		t.Fatal("a should have survived its in-place update")
 	}
-	// The audit path must see the updated query pointer.
+	// The audit path must see the updated entry.
 	found := false
 	l.each(func(e *lruEntry) bool {
 		if e.key == "a" {
-			found = e.q == q2
+			found = e.res.decided
 		}
 		return true
 	})
 	if !found {
-		t.Fatal("entry a does not carry the updated query")
+		t.Fatal("entry a does not carry the updated result")
 	}
 }
 

@@ -9,7 +9,7 @@
 // (/admin/check), and an operator status API (/admin/status).
 //
 // The decision path is sharded: queries hash to one of N shards by their
-// canonical co-phase key, and each shard's single worker owns its decision
+// binary decide key (key.go), and each shard's single worker owns its decision
 // LRU, its curve table (curvetable.go), its per-configuration managers and
 // its statistics scratch, so the hot path takes no locks and performs no
 // allocation beyond the response. Batching, sharding and caching are

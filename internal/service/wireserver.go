@@ -2,13 +2,10 @@
 // TCP beside the HTTP/JSON API. A connection is one goroutine running a
 // decode → fan-out → encode loop over per-connection scratch: frames are
 // parsed zero-copy out of the read buffer, queries are resolved into a
-// reused arena (their canonical keys built by the same appendQueryKey the
-// JSON path uses, so both codecs share shard placement and cached
-// decisions), and the answer is encoded into a reused output buffer — the
-// steady-state loop performs no per-request allocation beyond the one
-// WaitGroup of the fan-out. Queries resolved here alias connection scratch,
-// so their tasks are marked ephemeral: a shard clones a query before the
-// cache may retain it.
+// reused key arena (the same binary keys the JSON path builds, so both
+// codecs share shard placement and cached decisions), and the answer is
+// encoded into a reused output buffer — the steady-state loop performs
+// no per-frame heap allocation (pinned by TestWireFrameHitAllocs).
 //
 // Error discipline mirrors the codec's contract: a malformed payload
 // inside a well-formed frame answers a TypeError frame and the connection
@@ -25,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -153,22 +151,12 @@ func (s *Server) closeWire() {
 //qosrma:shardowned
 type wireScratch struct {
 	req     wire.DecideRequest
-	queries []decideQuery  // query arena; each entry keeps its key buffer
-	qptrs   []*decideQuery // fan-out view over the arena
-	ids     []simdb.BenchID
-	phases  []int
-	slack   []float64
+	arena   []byte     // every query's key, back to back
+	keys    []queryKey // one view per query into arena
 	results []decideResult
+	wg      sync.WaitGroup // the fan-out's
 	resp    wire.DecideResponse
 	out     []byte
-
-	// Manager-configuration memo: frames on one connection overwhelmingly
-	// repeat one (scheme, model, slack) configuration, so the canonical
-	// slackKey string is built once and reused until the config changes.
-	cfg      managerKey
-	cfgSlack []float64
-	cfgHasSl bool
-	cfgValid bool
 }
 
 // serveWireConn runs one connection's serve loop.
@@ -314,7 +302,7 @@ func (s *Server) handleWireDecide(bw *bufio.Writer, payload []byte, sc *wireScra
 		}
 		return s.writeWireError(bw, req.Seq, errCode, err.Error())
 	}
-	if err := s.decideInto(sn, sc.qptrs[:count], sc.results[:count], true); err != nil {
+	if err := s.decideInto(sn, sc.keys, sc.results, &sc.wg); err != nil {
 		return s.writeWireError(bw, req.Seq, wire.ErrCodeUnavailable, err.Error())
 	}
 	s.wire.queries.Add(uint64(count))
@@ -342,10 +330,10 @@ func (s *Server) handleWireDecide(bw *bufio.Writer, payload []byte, sc *wireScra
 	return bw.Flush() == nil
 }
 
-// resolveWireQueries validates sc.req against the snapshot and fills the
-// scratch arenas with resolved queries whose canonical keys are built by
-// the same appendQueryKey as the JSON path. On success the first return
-// is the query count and sc.qptrs/sc.results are sized to it.
+// resolveWireQueries validates sc.req against the snapshot and builds
+// one key per query into the scratch arena, byte-identical to the key
+// resolveQuery builds for the same query. On success the first return is
+// the query count, and sc.keys and sc.results hold that many entries.
 func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.ErrCode, error) {
 	req := &sc.req
 	db := sn.db
@@ -368,46 +356,35 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 			fmt.Errorf("batch of %d queries exceeds the limit of %d", count, s.opt.MaxBatch)
 	}
 
-	// Slack resolution mirrors resolveQuery exactly: a uniform slack of
-	// zero is the nil (no-slack) configuration, a per-core vector is taken
-	// verbatim (even all-zero), negatives and non-finite values are
-	// rejected.
-	var slack []float64
-	switch {
-	case req.Flags&wire.FlagSlackUniform != 0 && req.Slack != 0:
-		sc.slack = growFloat64s(sc.slack, n)
-		for i := range sc.slack {
-			sc.slack[i] = req.Slack
-		}
-		slack = sc.slack
-	case req.Flags&wire.FlagSlackPerCore != 0:
-		sc.slack = growFloat64s(sc.slack, n)
-		copy(sc.slack, req.Slacks)
-		slack = sc.slack
+	// The parser leaves Slacks empty unless the frame carries a per-core
+	// vector; a uniform slack is a one-value vector, as in resolveQuery.
+	slack := req.Slacks
+	var uniform [1]float64
+	if req.Flags&wire.FlagSlackUniform != 0 {
+		uniform[0] = req.Slack
+		slack = uniform[:]
 	}
-	for i, v := range slack {
-		if err := checkSlack(i, v); err != nil {
-			return 0, wire.ErrCodeMalformed, err
-		}
+	// Each key is the frame's config prefix plus its apps; size bounds
+	// them all, so the arena never regrows mid-frame.
+	size := (keyHead + 8*len(slack) + 4*n) * count
+	if cap(sc.arena) < size {
+		sc.arena = make([]byte, 0, size)
 	}
-	if !sc.cfgValid || scheme != sc.cfg.scheme || model != sc.cfg.model ||
-		!slackEqual(slack, sc.cfgSlack, sc.cfgHasSl) {
-		sc.cfg = managerKey{scheme: scheme, model: model, slackKey: slackKeyOf(slack)}
-		sc.cfgSlack = append(sc.cfgSlack[:0], slack...)
-		sc.cfgHasSl = slack != nil
-		sc.cfgValid = true
+	cfg, err := appendKeyConfig(sc.arena[:0], scheme, model, slack)
+	if err != nil {
+		return 0, wire.ErrCodeMalformed, err
 	}
-
-	total := count * n
-	sc.ids = growBenchIDs(sc.ids, total)
-	sc.phases = growInts(sc.phases, total)
-	sc.queries = growQueries(sc.queries, count)
-	sc.qptrs = growQueryPtrs(sc.qptrs, count)
-	sc.results = growResults(sc.results, count)
+	if cap(sc.results) < count {
+		sc.results = make([]decideResult, count)
+	}
+	sc.results = sc.results[:count]
+	sc.keys = sc.keys[:0]
+	key := cfg
 	for qi := 0; qi < count; qi++ {
-		ids := sc.ids[qi*n : (qi+1)*n]
-		phases := sc.phases[qi*n : (qi+1)*n]
-		for c, a := range req.Apps[qi*n : (qi+1)*n] {
+		if qi > 0 {
+			key = append(key[len(key):], cfg...)
+		}
+		for _, a := range req.Apps[qi*n : (qi+1)*n] {
 			id := int(a.Bench)
 			if id >= len(db.Benches) {
 				return 0, wire.ErrCodeMalformed,
@@ -418,77 +395,9 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 				return 0, wire.ErrCodeMalformed,
 					fmt.Errorf("query %d: benchmark %d has phases 0..%d, got %d", qi, id, np-1, a.Phase)
 			}
-			ids[c] = simdb.BenchID(id)
-			phases[c] = int(a.Phase)
+			key = appendKeyApp(key, simdb.BenchID(id), int(a.Phase))
 		}
-		q := &sc.queries[qi]
-		q.cfg = sc.cfg
-		q.slack = slack
-		q.ids = ids
-		q.phases = phases
-		q.key = appendQueryKey(q.key[:0], sc.cfg, ids, phases)
-		sc.qptrs[qi] = q
+		sc.keys = append(sc.keys, queryKey(key))
 	}
 	return count, 0, nil
-}
-
-// slackEqual compares a candidate slack vector against the memoized one
-// (hasPrev distinguishes the nil configuration from an empty slice).
-func slackEqual(slack, prev []float64, hasPrev bool) bool {
-	if (slack == nil) != !hasPrev || len(slack) != len(prev) {
-		return false
-	}
-	for i, v := range slack {
-		if v != prev[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// The grow helpers resize scratch slices while reusing capacity; growing
-// the query arena preserves existing entries so their key buffers keep
-// amortizing.
-func growFloat64s(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growBenchIDs(s []simdb.BenchID, n int) []simdb.BenchID {
-	if cap(s) < n {
-		return make([]simdb.BenchID, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growResults(s []decideResult, n int) []decideResult {
-	if cap(s) < n {
-		return make([]decideResult, n)
-	}
-	return s[:n]
-}
-
-func growQueryPtrs(s []*decideQuery, n int) []*decideQuery {
-	if cap(s) < n {
-		return make([]*decideQuery, n)
-	}
-	return s[:n]
-}
-
-func growQueries(s []decideQuery, n int) []decideQuery {
-	if cap(s) < n {
-		ns := make([]decideQuery, n)
-		copy(ns, s[:cap(s)])
-		return ns
-	}
-	return s[:n]
 }
