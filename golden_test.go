@@ -62,6 +62,15 @@ func goldenSweeps(t *testing.T, s *System) map[string]SweepSpec {
 			Schemes:       []Scheme{RM2},
 			BandwidthGBps: []float64{0, 6, 3},
 		},
+		// Uncoordinated strawman and QoS reference: UCP lookahead
+		// partitioning followed by independent DVFS, and the static
+		// baseline, with the phase-history feedback table off and on.
+		"ablation_uncoordinated.csv": {
+			Name:     "ablation-uncoordinated",
+			Mixes:    mixesI[:4],
+			Schemes:  []Scheme{core.SchemeUCPDVFS, Static},
+			Feedback: []bool{false, true},
+		},
 	}
 }
 
