@@ -185,6 +185,6 @@ pprof:
 	$(GO) tool pprof -top -nodecount=25 qosrma.test cpu.prof | tee pprof.txt
 
 clean:
-	rm -f $(BENCH_OUT) $(BENCH_NEW) $(BENCH_DIFF) cpu.prof pprof.txt qosrma.test loadgen.txt loadgen.wire.txt chaos.txt qosrmavet.txt escape.diff.txt
+	rm -f $(BENCH_OUT) $(BENCH_NEW) $(BENCH_DIFF) cpu.prof pprof.txt qosrma.test loadgen.txt loadgen.wire.txt chaos.txt qosrmavet.txt escape.diff.txt loc.txt
 	rm -rf cover bin
 	$(GO) clean ./...

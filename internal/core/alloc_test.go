@@ -73,7 +73,7 @@ func TestAllocateWaysIntoSteadyStateAllocs(t *testing.T) {
 	if _, ok := m.DecideAll(st); !ok {
 		t.Fatal("DecideAll made no decision")
 	}
-	curves := m.decisionCurves()
+	curves := m.curves
 	var ws WaysScratch
 	if _, ok := AllocateWaysInto(curves, sys.LLC.Assoc, &ws); !ok {
 		t.Fatal("warm-up AllocateWaysInto found no allocation")
@@ -93,7 +93,7 @@ func TestSettingsFromCurvesIntoSteadyStateAllocs(t *testing.T) {
 	if _, ok := m.DecideAll(st); !ok {
 		t.Fatal("DecideAll made no decision")
 	}
-	curves := m.decisionCurves()
+	curves := m.curves
 	alloc, ok := AllocateWays(curves, sys.LLC.Assoc)
 	if !ok {
 		t.Fatal("AllocateWays found no allocation")
@@ -104,5 +104,47 @@ func TestSettingsFromCurvesIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Fatalf("SettingsFromCurvesInto allocated %.0f times per call with a reused slice, want 0", got)
+	}
+}
+
+func TestMinPlusAllocs(t *testing.T) {
+	m, sys, _ := warmManager(t, SchemeCoordDVFSCache, Model2)
+	n := sys.LLC.Assoc + 1
+	a, b := make([]float64, n), make([]float64, n)
+	m.curves[0].epiRow(a)
+	m.curves[1].epiRow(b)
+	out, choice := make([]float64, n), make([]int, n)
+	got := testing.AllocsPerRun(100, func() {
+		minPlus(out, choice, a, b)
+	})
+	if got != 0 {
+		t.Fatalf("minPlus allocated %.0f times per call, want 0", got)
+	}
+}
+
+// TestSettleIntoAllocs pins the global step on warm curves: nothing for
+// the coordinated and DVFS-only schemes, and for UCP only the
+// allocation vector cache.UCPLookahead returns.
+func TestSettleIntoAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		scheme Scheme
+		kind   ModelKind
+		want   float64
+	}{
+		{SchemeCoordDVFSCache, Model2, 0},
+		{SchemeCoordCoreDVFSCache, Model3, 0},
+		{SchemeDVFSOnly, Model2, 0},
+		{SchemeUCPDVFS, Model2, 1},
+	} {
+		m, sys, _ := warmManager(t, tc.scheme, tc.kind)
+		dst := m.Settings()
+		got := testing.AllocsPerRun(100, func() {
+			if _, ok := SettleInto(dst, &sys, tc.scheme, m.decision, m.misses, &m.ways); !ok {
+				t.Fatalf("%v: SettleInto made no decision", tc.scheme)
+			}
+		})
+		if got != tc.want {
+			t.Fatalf("%v: SettleInto allocated %.0f times per call, want %.0f", tc.scheme, got, tc.want)
+		}
 	}
 }

@@ -119,3 +119,29 @@ func TestDecideAllLengthMismatchPanics(t *testing.T) {
 	}()
 	m.DecideAll([]*IntervalStats{statsForCore(sys, 0, true)})
 }
+
+// TestDecideAllBuildsFreshCurvesBeforeWarmUp: a sparse statistics vector
+// that leaves an unseen core out still records every fresh curve, as the
+// equivalent Decide calls would, so the missing core's first statistics
+// complete the warm-up on their own.
+func TestDecideAllBuildsFreshCurvesBeforeWarmUp(t *testing.T) {
+	m, sys := managerFor(SchemeCoordDVFSCache, Model2)
+	st := make([]*IntervalStats, sys.NumCores)
+	for i := 1; i < len(st); i++ {
+		st[i] = statsForCore(sys, i, i%2 == 0)
+	}
+	if _, ok := m.DecideAll(st); ok {
+		t.Fatal("decided with core 0 never seen")
+	}
+	got, ok := m.Decide(0, statsForCore(sys, 0, true))
+	if !ok {
+		t.Fatal("core 0's first statistics did not complete the warm-up")
+	}
+	st[0] = statsForCore(sys, 0, true)
+	want, _ := decideSequential(SchemeCoordDVFSCache, Model2, nil, false, st)
+	for c := range want {
+		if got[c] != want[c] {
+			t.Fatalf("core %d: %v, sequential %v", c, got[c], want[c])
+		}
+	}
+}

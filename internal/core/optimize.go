@@ -153,13 +153,15 @@ func (p *Predictor) BuildCurveInto(st *IntervalStats, opt LocalOptions, buf *Cur
 }
 
 // WaysScratch holds AllocateWaysInto's reusable reduction state: the two
-// DP rows, the flattened per-core choice matrix, and the unwound
-// allocation. One instance per Manager keeps the global reduction
-// allocation-free after the first decision (the decision service pushes
-// millions of DecideAll calls through this path).
+// DP rows, the dense EPI row of the curve being folded in, the flattened
+// per-core choice matrix, and the unwound allocation. One instance per
+// Manager keeps the global reduction allocation-free after the first
+// decision (the decision service pushes millions of DecideAll calls
+// through this path).
 type WaysScratch struct {
 	combined []float64
 	next     []float64
+	row      []float64
 	choices  []int // n rows of totalWays+1 entries, flattened
 	alloc    []int
 }
@@ -192,6 +194,7 @@ func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, b
 	if cap(ws.combined) < rowLen {
 		ws.combined = make([]float64, rowLen)
 		ws.next = make([]float64, rowLen)
+		ws.row = make([]float64, rowLen)
 	}
 	if cap(ws.choices) < n*rowLen {
 		ws.choices = make([]int, n*rowLen)
@@ -203,31 +206,13 @@ func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, b
 	// choice[W]: ways given to core i in that optimum.
 	combined := ws.combined[:rowLen]
 	next := ws.next[:rowLen]
+	row := ws.row[:rowLen]
 	choices := ws.choices[:n*rowLen]
 	alloc := ws.alloc[:n]
-	for W := range combined {
-		combined[W] = curves[0].EPI(W)
-	}
+	curves[0].epiRow(combined)
 	for i := 1; i < n; i++ {
-		choice := choices[i*rowLen : (i+1)*rowLen]
-		for W := 0; W <= totalWays; W++ {
-			next[W] = math.Inf(1)
-			choice[W] = -1
-			for wi := 0; wi <= W; wi++ {
-				e := curves[i].EPI(wi)
-				if math.IsInf(e, 1) {
-					continue
-				}
-				prev := combined[W-wi]
-				if math.IsInf(prev, 1) {
-					continue
-				}
-				if total := prev + e; total < next[W] {
-					next[W] = total
-					choice[W] = wi
-				}
-			}
-		}
+		curves[i].epiRow(row)
+		minPlus(next, choices[i*rowLen:(i+1)*rowLen], combined, row)
 		combined, next = next, combined
 	}
 	if math.IsInf(combined[totalWays], 1) {
@@ -244,13 +229,48 @@ func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, b
 	return alloc, true
 }
 
+// epiRow writes the curve's EPI at every way count 0..len(row)-1 into row.
+func (c *Curve) epiRow(row []float64) {
+	for w := range row {
+		row[w] = c.EPI(w)
+	}
+}
+
+// minPlus is the pairwise reduction of the global optimization, the one
+// kernel behind both the left-to-right fold (AllocateWaysInto) and the
+// paper's reduction tree (AllocateWaysTree): for every total W it writes
+// out[W] = min over r in 0..W of a[W-r] + b[r], and choice[W] = the r
+// attaining it. The smallest r wins ties; +Inf entries of a or b are
+// never combined, and choice[W] is -1 (out[W] +Inf) when no split of W
+// is finite. a and b must be at least len(out) long.
+//
+//qosrma:noalloc
+func minPlus(out []float64, choice []int, a, b []float64) {
+	for W := range out {
+		best, arg := math.Inf(1), -1
+		for r := 0; r <= W; r++ {
+			br := b[r]
+			if math.IsInf(br, 1) {
+				continue
+			}
+			aw := a[W-r]
+			if math.IsInf(aw, 1) {
+				continue
+			}
+			if sum := aw + br; sum < best {
+				best, arg = sum, r
+			}
+		}
+		out[W], choice[W] = best, arg
+	}
+}
+
 // ReduceInto is the coordinated schemes' global step: it allocates
 // totalWays across the curves (AllocateWaysInto in ws) and converts the
 // allocation into per-core settings written into dst's backing array
 // when it is large enough (nil allocates a fresh slice). It returns
 // false, leaving dst untouched, when no feasible allocation exists.
-// Manager.Decide/DecideAll and the decision service's curve-table path
-// both end here, so a set of curves reduces to one answer either way.
+// SettleInto calls it for RM1, RM2 and RM3.
 func ReduceInto(dst []arch.Setting, curves []*Curve, totalWays int, ws *WaysScratch) ([]arch.Setting, bool) {
 	alloc, ok := AllocateWaysInto(curves, totalWays, ws)
 	if !ok {

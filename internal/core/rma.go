@@ -77,16 +77,22 @@ type Config struct {
 type Manager struct {
 	cfg       Config
 	pred      Predictor
-	curves    []*Curve
+	curves    []*Curve // per core: the last curve built from its statistics
 	settings  []arch.Setting
 	feedback  []*FeedbackTable // per core; nil when disabled
-	lastStats []*IntervalStats // per core; kept for the uncoordinated scheme
+	lastStats []*IntervalStats // per core; UCP rebuilds every curve from them
 
 	localOpts []LocalOptions // per-core search space, precomputed
-	scratch   *Curve         // reusable curve for the single-core schemes
-	uncoord   []*Curve       // reusable curves for the uncoordinated scheme
 	ways      WaysScratch    // reusable global-reduction state
-	profiles  [][]float64    // reusable miss-profile vector (UCP scheme)
+
+	// Scratch handed to SettleInto: the curve set of one decision (a
+	// core's own curve, the idle curve or nil) and the miss profiles UCP
+	// partitions by.
+	decision []*Curve
+	misses   [][]float64
+	// single is the statistics vector Decide passes to DecideAll: nil
+	// except for the invoker's entry while a call runs.
+	single []*IntervalStats
 
 	// occupied tracks which cores currently host an application (all of
 	// them in the classic closed-world simulation). Vacant cores take no
@@ -95,8 +101,7 @@ type Manager struct {
 	occupied []bool
 	vacant   int       // number of unoccupied cores
 	idle     *Curve    // shared zero-cost stand-in curve for vacant cores
-	decision []*Curve  // scratch curve set mixing real and idle curves
-	zeroProf []float64 // scratch all-zero miss profile for vacant cores (UCP)
+	zeroProf []float64 // all-zero miss profile for vacant cores (UCP)
 
 	// Invocations counts Decide calls (diagnostics).
 	Invocations int
@@ -118,7 +123,13 @@ func NewManager(cfg Config) *Manager {
 		curves:    make([]*Curve, n),
 		settings:  make([]arch.Setting, n),
 		lastStats: make([]*IntervalStats, n),
+		localOpts: make([]LocalOptions, n),
+		decision:  make([]*Curve, n),
+		misses:    make([][]float64, n),
+		single:    make([]*IntervalStats, n),
 		occupied:  make([]bool, n),
+		idle:      IdleCurve(cfg.Sys.LLC.Assoc, cfg.Sys.BaselineSetting()),
+		zeroProf:  make([]float64, cfg.Sys.LLC.Assoc+1),
 	}
 	for i := range m.occupied {
 		m.occupied[i] = true
@@ -132,7 +143,6 @@ func NewManager(cfg Config) *Manager {
 	for i := range m.settings {
 		m.settings[i] = cfg.Sys.BaselineSetting()
 	}
-	m.localOpts = make([]LocalOptions, n)
 	for i := range m.localOpts {
 		m.localOpts[i] = SchemeLocalOptions(cfg.Sys, cfg.Scheme, cfg.Slack[i])
 	}
@@ -191,28 +201,6 @@ func (m *Manager) Rebaseline() []arch.Setting {
 		m.settings[i] = m.cfg.Sys.BaselineSetting()
 	}
 	return m.Settings()
-}
-
-// decisionCurves returns the curve set for the global reduction: occupied
-// cores contribute their own curves and vacant cores the shared idle curve.
-// With every core occupied it is the curves slice itself (the closed-world
-// fast path allocates nothing).
-func (m *Manager) decisionCurves() []*Curve {
-	if m.vacant == 0 {
-		return m.curves
-	}
-	if m.idle == nil {
-		m.idle = IdleCurve(m.cfg.Sys.LLC.Assoc, m.cfg.Sys.BaselineSetting())
-		m.decision = make([]*Curve, len(m.curves))
-	}
-	for i, c := range m.curves {
-		if m.occupied[i] {
-			m.decision[i] = c
-		} else {
-			m.decision[i] = m.idle
-		}
-	}
-	return m.decision
 }
 
 // Scheme returns the configured scheme.
@@ -282,63 +270,101 @@ func (m *Manager) localOptions(core int) LocalOptions {
 }
 
 // Decide is the RMA invocation: core invoker has completed an interval with
-// the given statistics. It returns the new settings for all cores and true,
-// or nil and false when the manager keeps the current settings (static
-// scheme, warm-up, or no feasible allocation).
+// the given statistics. It is DecideAll with only the invoker's statistics
+// fresh, and returns the new settings for all cores and true, or nil and
+// false when the manager keeps the current settings (static scheme,
+// warm-up, or no feasible allocation).
 //
 //qosrma:noalloc
 func (m *Manager) Decide(invoker int, st *IntervalStats) ([]arch.Setting, bool) {
-	m.Invocations++
-	sys := m.cfg.Sys
+	m.single[invoker] = st
+	settings, ok := m.DecideAll(m.single)
+	m.single[invoker] = nil
+	return settings, ok
+}
 
-	if m.feedback != nil {
-		// Record the completed interval in the invoker's phase table and
-		// make the table available to the predictor for this invocation.
-		m.feedback[invoker].Observe(st)
-		m.pred.Feedback = m.feedback[invoker]
-		//qosrma:allow(noalloc) deferred reset closure is open-coded and never escapes
-		defer func() { m.pred.Feedback = nil }()
+// DecideAll is the batch form of Decide: st holds fresh statistics for any
+// subset of the cores (nil entries have none), and the manager answers with
+// the settings the sequential invocation order — Decide(i, st[i]) for each
+// non-nil entry, in core order — would have produced, bit-identically.
+// Entries for vacant cores are ignored. Every fresh curve is rebuilt into
+// its core's reusable buffer before anything else is decided, so a manager
+// kept across queries answers repeated full vectors without allocating and
+// without leaking curve state between them. The curves then go through
+// SettleInto, the global step every scheme shares.
+//
+//qosrma:noalloc
+func (m *Manager) DecideAll(st []*IntervalStats) ([]arch.Setting, bool) {
+	if len(st) != len(m.settings) {
+		panic("core: DecideAll statistics length mismatch")
+	}
+	m.Invocations++
+	last := -1 // the last core with fresh statistics
+	for i, s := range st {
+		if s == nil || !m.occupied[i] {
+			continue
+		}
+		if m.feedback != nil {
+			m.feedback[i].Observe(s)
+		}
+		m.lastStats[i] = s
+		last = i
 	}
 
-	m.lastStats[invoker] = st
-
+	curves := m.decision
 	switch m.cfg.Scheme {
 	case SchemeStatic:
 		return nil, false
 
-	case SchemeUCPDVFS:
-		return m.decideUncoordinated()
-
 	case SchemeDVFSOnly:
-		// Frequency-only control at the fixed equal partition: pick the
-		// cheapest feasible frequency for the invoker alone.
-		m.scratch = m.pred.BuildCurveInto(st, m.localOptions(invoker), m.scratch)
-		o := m.scratch.Options[sys.BaselineWays()]
-		if !o.Feasible {
-			return nil, false
+		// Only cores with fresh statistics re-decide their frequency.
+		for i, s := range st {
+			curves[i] = nil
+			if s != nil && m.occupied[i] {
+				curves[i] = m.build(i, s, i)
+			}
 		}
-		m.settings[invoker] = arch.Setting{
-			Size: o.Size, FreqIdx: o.FreqIdx, Ways: sys.BaselineWays(),
+
+	case SchemeUCPDVFS:
+		// UCP repartitions the whole cache, so every occupied core's curve
+		// is rebuilt from its last statistics — under the feedback table of
+		// the last fresh core, whose invocation decides in the sequential
+		// order.
+		for i, s := range m.lastStats {
+			curves[i], m.misses[i] = nil, m.zeroProf // vacant: misses nothing
+			if !m.occupied[i] {
+				continue
+			}
+			if s == nil {
+				return nil, false // warm-up: keep the baseline
+			}
+			curves[i], m.misses[i] = m.build(i, s, last), s.ATDMisses
 		}
-		return m.Settings(), true
 
 	case SchemePartitionOnly, SchemeCoordDVFSCache, SchemeCoordCoreDVFSCache:
-		// Handled by the coordinated reduction below.
-	}
-
-	// Coordinated schemes: rebuild the invoker's curve (reusing its buffer
-	// across intervals), reuse the last curves of the other cores (thesis
-	// Fig. 3.1/3.2). Vacant cores stand in with the shared idle curve.
-	m.curves[invoker] = m.pred.BuildCurveInto(st, m.localOptions(invoker), m.curves[invoker])
-	curves := m.decisionCurves()
-	for i, c := range curves {
-		if c == nil && m.occupied[i] {
-			// First invocations: some cores have no statistics yet — keep
-			// the baseline setting (thesis Chapter 2, footnote 2).
-			return nil, false
+		// Rebuild every fresh curve and reuse the last curves of the other
+		// cores (thesis Fig. 3.1/3.2); vacant cores stand in with the
+		// shared idle curve.
+		for i, s := range st {
+			if s != nil && m.occupied[i] {
+				m.build(i, s, i)
+			}
+		}
+		for i, c := range m.curves {
+			curves[i] = m.idle
+			if !m.occupied[i] {
+				continue
+			}
+			if c == nil {
+				// First invocations: some cores have no statistics yet —
+				// keep the baseline setting (thesis Chapter 2, footnote 2).
+				return nil, false
+			}
+			curves[i] = c
 		}
 	}
-	settings, ok := ReduceInto(m.settings, curves, sys.LLC.Assoc, &m.ways)
+
+	settings, ok := SettleInto(m.settings, &m.cfg.Sys, m.cfg.Scheme, curves, m.misses, &m.ways)
 	if !ok {
 		return nil, false
 	}
@@ -347,173 +373,77 @@ func (m *Manager) Decide(invoker int, st *IntervalStats) ([]arch.Setting, bool) 
 		if !m.occupied[i] {
 			// Nothing executes on a vacant core; park it at the baseline
 			// (the ways the idle curve absorbed are simply unclaimed).
-			m.settings[i] = sys.BaselineSetting()
+			m.settings[i] = m.cfg.Sys.BaselineSetting()
 		}
 	}
 	return m.Settings(), true
 }
 
-// DecideAll is the one-shot batch form of Decide: statistics for every
-// occupied core arrive together and the manager answers with the settings
-// the sequential invocation order (Decide(0, st[0]) … Decide(n-1, st[n-1]))
-// would have produced — bit-identically, a property the decision service's
-// tests pin. Every occupied core's curve is rebuilt into its reusable
-// buffer, so a manager kept per serving shard answers repeated queries
-// without allocating and without leaking curve state between queries
-// (stale curves from a previous query are always overwritten before the
-// global reduction runs). Entries of st may be nil for vacant cores.
+// build rebuilds core i's curve from st into its reusable buffer, with
+// core fb's phase-history table installed (none when fb < 0).
+func (m *Manager) build(i int, st *IntervalStats, fb int) *Curve {
+	if m.feedback != nil && fb >= 0 {
+		m.pred.Feedback = m.feedback[fb]
+	}
+	m.curves[i] = m.pred.BuildCurveInto(st, m.localOptions(i), m.curves[i])
+	m.pred.Feedback = nil
+	return m.curves[i]
+}
+
+// SettleInto is the RMA's global step, the one every scheme ends in: it
+// turns the per-core energy curves into per-core settings. dst holds the
+// current settings, one per curve, and receives the answer. misses are
+// the per-core miss profiles UCP partitions by (other schemes ignore
+// them). It returns false when the scheme makes no decision.
+//
+//   - RM1/RM2/RM3: the coordinated way-allocation DP (ReduceInto); on
+//     failure dst is untouched.
+//   - DVFS-only: each core with a curve takes its cheapest feasible
+//     frequency at the equal partition; an infeasible core keeps its
+//     setting, and the answer is decided when the last such core's was
+//     (the sequential invocation loop's last return value).
+//   - UCP+DVFS: UCP partitions the cache to minimize total misses, then an
+//     independent QoS-aware DVFS controller picks each core's cheapest
+//     feasible frequency for the ways it was handed, or the maximum
+//     frequency when none meets QoS — the violation the paper's
+//     coordinated design exists to prevent. A nil curve (a vacant core) is
+//     parked at the baseline.
+//   - Static: no decision.
 //
 //qosrma:noalloc
-func (m *Manager) DecideAll(st []*IntervalStats) ([]arch.Setting, bool) {
-	if len(st) != len(m.settings) {
-		panic("core: DecideAll statistics length mismatch")
-	}
-	m.Invocations++
-	sys := m.cfg.Sys
-
-	if m.feedback != nil {
-		for i, s := range st {
-			if s != nil && m.occupied[i] {
-				m.feedback[i].Observe(s)
-			}
-		}
-	}
-	for i, s := range st {
-		if m.occupied[i] && s != nil {
-			m.lastStats[i] = s
-		}
-	}
-
-	switch m.cfg.Scheme {
-	case SchemeStatic:
-		return nil, false
-
-	case SchemeUCPDVFS:
-		// The sequential order's decisive invocation is the last core with
-		// statistics, and its Decide runs the whole uncoordinated pass with
-		// that core's feedback table installed — reproduce exactly that.
-		if m.feedback != nil {
-			for i := len(st) - 1; i >= 0; i-- {
-				if m.occupied[i] && st[i] != nil {
-					m.pred.Feedback = m.feedback[i]
-					break
-				}
-			}
-			//qosrma:allow(noalloc) deferred reset closure is open-coded and never escapes
-			defer func() { m.pred.Feedback = nil }()
-		}
-		return m.decideUncoordinated()
+func SettleInto(dst []arch.Setting, sys *arch.SystemConfig, scheme Scheme, curves []*Curve, misses [][]float64, ws *WaysScratch) ([]arch.Setting, bool) {
+	switch scheme {
+	case SchemePartitionOnly, SchemeCoordDVFSCache, SchemeCoordCoreDVFSCache:
+		return ReduceInto(dst, curves, sys.LLC.Assoc, ws)
 
 	case SchemeDVFSOnly:
-		// Independent per-core frequency choices, applied in core order
-		// exactly as the sequential loop would: infeasible cores keep their
-		// current setting, and the call reports a decision when the final
-		// core's did (matching the loop's last return value).
-		changed := false
-		for i, s := range st {
-			if !m.occupied[i] || s == nil {
+		decided := false
+		ways := sys.BaselineWays()
+		for i, c := range curves {
+			if c == nil {
 				continue
 			}
-			if m.feedback != nil {
-				m.pred.Feedback = m.feedback[i]
-			}
-			m.scratch = m.pred.BuildCurveInto(s, m.localOptions(i), m.scratch)
-			o := m.scratch.Options[sys.BaselineWays()]
-			changed = o.Feasible
-			if !o.Feasible {
-				continue
-			}
-			m.settings[i] = arch.Setting{
-				Size: o.Size, FreqIdx: o.FreqIdx, Ways: sys.BaselineWays(),
+			o := c.Options[ways]
+			if decided = o.Feasible; decided {
+				dst[i] = arch.Setting{Size: o.Size, FreqIdx: o.FreqIdx, Ways: ways}
 			}
 		}
-		m.pred.Feedback = nil
-		if !changed {
-			return nil, false
-		}
-		return m.Settings(), true
+		return dst, decided
 
-	case SchemePartitionOnly, SchemeCoordDVFSCache, SchemeCoordCoreDVFSCache:
-		// Handled by the coordinated reduction below.
-	}
+	case SchemeUCPDVFS:
+		alloc := cache.UCPLookahead(misses, sys.LLC.Assoc, 1)
+		for i, c := range curves {
+			if c == nil {
+				dst[i] = sys.BaselineSetting()
+			} else if o := c.Options[alloc[i]]; o.Feasible {
+				dst[i] = arch.Setting{Size: o.Size, FreqIdx: o.FreqIdx, Ways: alloc[i]}
+			} else {
+				dst[i] = arch.Setting{Size: sys.BaselineSize, FreqIdx: len(sys.DVFS) - 1, Ways: alloc[i]}
+			}
+		}
+		return dst, true
 
-	// Coordinated schemes: rebuild every occupied core's curve, then run
-	// one global reduction (the sequential loop's intermediate reductions
-	// are unobservable — only the final one, over these same curves,
-	// determines the answer).
-	for i, s := range st {
-		if !m.occupied[i] {
-			continue
-		}
-		if s == nil {
-			if m.curves[i] == nil {
-				return nil, false // warm-up: a core has no statistics yet
-			}
-			continue
-		}
-		if m.feedback != nil {
-			m.pred.Feedback = m.feedback[i]
-		}
-		m.curves[i] = m.pred.BuildCurveInto(s, m.localOptions(i), m.curves[i])
+	case SchemeStatic:
 	}
-	m.pred.Feedback = nil
-	curves := m.decisionCurves()
-	settings, ok := ReduceInto(m.settings, curves, sys.LLC.Assoc, &m.ways)
-	if !ok {
-		return nil, false
-	}
-	m.settings = settings
-	for i := range m.settings {
-		if !m.occupied[i] {
-			m.settings[i] = sys.BaselineSetting()
-		}
-	}
-	return m.Settings(), true
-}
-
-// decideUncoordinated implements the independent-controller design: UCP
-// partitions the cache to minimize total misses, then a QoS-aware DVFS
-// controller independently picks each core's frequency for the allocation
-// it was handed. When a core's QoS cannot be met at its UCP share even at
-// the maximum frequency, it runs at maximum frequency — the violation the
-// paper's coordinated design exists to prevent.
-func (m *Manager) decideUncoordinated() ([]arch.Setting, bool) {
-	sys := m.cfg.Sys
-	if cap(m.profiles) < len(m.lastStats) {
-		m.profiles = make([][]float64, len(m.lastStats))
-	}
-	profiles := m.profiles[:len(m.lastStats)]
-	for i, st := range m.lastStats {
-		if !m.occupied[i] {
-			// Vacant cores miss nothing: UCP hands them the minimum share.
-			if m.zeroProf == nil {
-				m.zeroProf = make([]float64, sys.LLC.Assoc+1)
-			}
-			profiles[i] = m.zeroProf
-			continue
-		}
-		if st == nil {
-			return nil, false // warm-up: keep the baseline
-		}
-		profiles[i] = st.ATDMisses
-	}
-	alloc := cache.UCPLookahead(profiles, sys.LLC.Assoc, 1)
-	if m.uncoord == nil {
-		m.uncoord = make([]*Curve, len(m.lastStats))
-	}
-	for i, st := range m.lastStats {
-		if !m.occupied[i] {
-			m.settings[i] = sys.BaselineSetting()
-			continue
-		}
-		m.uncoord[i] = m.pred.BuildCurveInto(st, m.localOptions(i), m.uncoord[i])
-		if o := m.uncoord[i].Options[alloc[i]]; o.Feasible {
-			m.settings[i] = arch.Setting{Size: o.Size, FreqIdx: o.FreqIdx, Ways: alloc[i]}
-		} else {
-			m.settings[i] = arch.Setting{
-				Size: sys.BaselineSize, FreqIdx: len(sys.DVFS) - 1, Ways: alloc[i],
-			}
-		}
-	}
-	return m.Settings(), true
+	return nil, false
 }

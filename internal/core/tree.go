@@ -14,9 +14,10 @@ import (
 // concurrently here, as they would in parallel hardware or on multiple
 // cores of the managed system itself.
 //
-// AllocateWays (optimize.go) folds the same recurrence left-to-right; the
-// two produce allocations of identical total energy (verified by tests and
-// by TestTreeMatchesFold), differing at most in tie-breaking.
+// AllocateWays (optimize.go) folds the same recurrence left-to-right.
+// Both run every pairwise reduction through one kernel, minPlus, and
+// differ only in which rows they pair: they find allocations of identical
+// total energy (TestTreeMatchesFold), differing at most in tie-breaking.
 
 // treeNode is one vertex of the reduction tree.
 type treeNode struct {
@@ -28,7 +29,9 @@ type treeNode struct {
 	choice      []int // ways granted to the left subtree per total
 }
 
-// reducePair combines two nodes.
+// reducePair combines two nodes. With b's row first, minPlus's choice is
+// the ways of the left subtree, in the scan order the node has always
+// used.
 func reducePair(a, b *treeNode, totalWays int) *treeNode {
 	n := &treeNode{
 		curve:  make([]float64, totalWays+1),
@@ -36,24 +39,7 @@ func reducePair(a, b *treeNode, totalWays int) *treeNode {
 		left:   a,
 		right:  b,
 	}
-	for W := 0; W <= totalWays; W++ {
-		n.curve[W] = math.Inf(1)
-		n.choice[W] = -1
-		for wl := 0; wl <= W; wl++ {
-			l := a.curve[wl]
-			if math.IsInf(l, 1) {
-				continue
-			}
-			r := b.curve[W-wl]
-			if math.IsInf(r, 1) {
-				continue
-			}
-			if sum := l + r; sum < n.curve[W] {
-				n.curve[W] = sum
-				n.choice[W] = wl
-			}
-		}
-	}
+	minPlus(n.curve, n.choice, b.curve, a.curve)
 	return n
 }
 
@@ -80,9 +66,7 @@ func AllocateWaysTree(curves []*Curve, totalWays int) ([]int, bool) {
 	nodes := make([]*treeNode, n)
 	for i, c := range curves {
 		leaf := &treeNode{core: i, curve: make([]float64, totalWays+1)}
-		for W := 0; W <= totalWays; W++ {
-			leaf.curve[W] = c.EPI(W)
-		}
+		c.epiRow(leaf.curve)
 		nodes[i] = leaf
 	}
 	for len(nodes) > 1 {

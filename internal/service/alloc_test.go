@@ -11,9 +11,9 @@ import (
 // Pins backing the //qosrma:noalloc annotations on the shard worker: a
 // warm shard answers a repeated query without allocating (process, cache
 // hit) and recomputes with exactly one allocation (compute and the curve
-// table's decide — the fresh settings slice the cache retains), on the
-// table path (rm1/rm2/rm3) and the manager path alike (dvfs; UCP's
-// lookahead allocates its own scratch and is not pinned).
+// table's decide — the fresh settings slice the cache retains) for
+// static, dvfs, rm1, rm2 and rm3. UCP adds the allocation vector its
+// lookahead returns.
 
 func testShardQuery(t *testing.T) (*Server, *shard, queryKey) {
 	t.Helper()
@@ -40,16 +40,19 @@ func testShardQueryFor(t *testing.T, scheme string) (*Server, *shard, queryKey) 
 }
 
 func TestShardComputeSteadyStateAllocs(t *testing.T) {
-	for _, scheme := range []string{"rm1", "rm2", "rm3", "dvfs"} {
-		_, sh, q := testShardQueryFor(t, scheme)
-		if res := sh.compute(q); !res.decided {
-			t.Fatalf("%s: warm-up compute made no decision", scheme)
+	for _, tc := range []struct {
+		scheme string
+		want   float64
+	}{{"static", 1}, {"dvfs", 1}, {"rm1", 1}, {"rm2", 1}, {"rm3", 1}, {"ucp", 2}} {
+		_, sh, q := testShardQueryFor(t, tc.scheme)
+		if res := sh.compute(q); res.decided != (tc.scheme != "static") {
+			t.Fatalf("%s: warm-up compute decided=%v", tc.scheme, res.decided)
 		}
 		got := testing.AllocsPerRun(100, func() {
 			sh.compute(q)
 		})
-		if got != 1 {
-			t.Fatalf("%s: shard.compute allocated %.0f times per call, want exactly 1 (the settings slice)", scheme, got)
+		if got != tc.want {
+			t.Fatalf("%s: shard.compute allocated %.0f times per call, want exactly %.0f", tc.scheme, got, tc.want)
 		}
 	}
 }

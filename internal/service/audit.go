@@ -1,7 +1,7 @@
 // Self-audit: the live re-verification of the service's central
 // invariant — every cached decision, and every answer the shard's curve
-// table and manager pool would give now, must be bit-identical to a
-// fresh library computation. An audit fans one task per shard through the
+// table would give now, must be bit-identical to a fresh library
+// computation. An audit fans one task per shard through the
 // same channels decide queries use, so the shard worker itself samples
 // its own LRU (preserving single-goroutine ownership of the cache and the
 // table), recomputes each sampled entry on the trusted slow path

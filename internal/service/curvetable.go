@@ -1,19 +1,21 @@
-// Curve table: the shard-local memo of the RMA's first step. A
-// coordinated decision (RM1/RM2/RM3) is two steps — build every core's
-// energy curve E(w), then reduce the curves to a global way allocation.
-// In the service a core's statistics come from FillOracleStats, so they
-// depend only on its (bench, phase); the managers run without feedback
-// and with every core occupied. A curve is therefore a pure function of
-// (bench, phase, scheme, model, that core's slack), and the database has
-// few (bench, phase) pairs. Each table row is one (scheme, model, slack)
-// and holds one curve per dense pair index, built the first time a query
-// needs it. An uncached decide then costs n table reads plus the
-// way-allocation DP instead of n curve builds plus the DP.
+// Curve table: the shard-local memo of the RMA's first step. A decision
+// is two steps — build every core's energy curve E(w), then settle the
+// curves into per-core settings (the way-allocation DP for RM1/RM2/RM3,
+// DVFS at the equal partition, or UCP then DVFS). In the service a core's
+// statistics come from FillOracleStats, so they depend only on its
+// (bench, phase); the managers run without feedback and with every core
+// occupied. A curve is therefore a pure function of (bench, phase,
+// scheme, model, that core's slack), and the database has few (bench,
+// phase) pairs. Each table row is one (scheme, model, slack) and holds
+// one curve per dense pair index, built the first time a query needs it.
+// An uncached decide then costs n table reads plus the global step
+// instead of n curve builds plus the global step.
 //
 // Every curve is built by the predictor and search space
-// (core.SchemeLocalOptions) the manager would use and reduced by the same
-// core.ReduceInto tail as Manager.DecideAll, so table answers are
-// bit-identical to the library. The self-checker (audit.go) re-derives
+// (core.SchemeLocalOptions) the manager would use and settled by
+// core.SettleInto from the baseline a fresh manager starts at, the same
+// tail Manager.DecideAll ends in, so table answers are bit-identical to
+// the library for all six schemes. The self-checker (audit.go) re-derives
 // sampled answers both through the table and on the fresh-manager path.
 package service
 
@@ -23,12 +25,11 @@ import (
 	"qosrma/internal/power"
 )
 
-// maxShardConfigs bounds each shard's per-configuration state: its
-// manager pool (one entry per distinct slack vector) and its curve-table
-// rows (one per distinct per-core slack). A client sweeping slack values
-// would otherwise grow both without limit until the next snapshot swap.
-// On overflow the whole map is dropped; answers do not depend on history,
-// so this costs only rebuilds.
+// maxShardConfigs bounds each shard's curve table: one row per distinct
+// (scheme, model, per-core slack). A client sweeping slack values would
+// otherwise grow the table without limit until the next snapshot swap.
+// On overflow every row is dropped; answers do not depend on history, so
+// this costs only rebuilds.
 const maxShardConfigs = 64
 
 // curveKey identifies one table row: what a curve depends on beyond its
@@ -51,40 +52,37 @@ type curveRow struct {
 //
 //qosrma:shardowned
 type curveTable struct {
-	sn   *snapshot
-	rows map[curveKey]*curveRow
-	st   core.IntervalStats // statistics scratch for a curve build
-	set  []*core.Curve      // one query's curves, by core
-	ways core.WaysScratch
+	sn     *snapshot
+	rows   map[curveKey]*curveRow
+	st     core.IntervalStats // statistics scratch for a curve build
+	set    []*core.Curve      // one query's curves, by core
+	misses [][]float64        // one query's miss profiles, by core (UCP)
+	ways   core.WaysScratch
 }
 
 func newCurveTable(sn *snapshot) *curveTable {
+	n := sn.db.Sys.NumCores
 	return &curveTable{
-		sn:   sn,
-		rows: make(map[curveKey]*curveRow, 4),
-		set:  make([]*core.Curve, sn.db.Sys.NumCores),
+		sn:     sn,
+		rows:   make(map[curveKey]*curveRow, 4),
+		set:    make([]*core.Curve, n),
+		misses: make([][]float64, n),
 	}
 }
 
-// tableScheme reports whether the scheme's decision is served from the
-// curve table: the coordinated schemes, whose DecideAll is exactly
-// "build every curve, reduce". Static, DVFS-only and UCP keep the
-// manager path.
-func tableScheme(s core.Scheme) bool {
-	switch s {
-	case core.SchemePartitionOnly, core.SchemeCoordDVFSCache, core.SchemeCoordCoreDVFSCache:
-		return true
-	case core.SchemeStatic, core.SchemeDVFSOnly, core.SchemeUCPDVFS:
-	}
-	return false
-}
-
-// decide answers a coordinated-scheme query: it reads (building on first
-// use) each core's curve and reduces them. The settings are a fresh
-// slice, as Manager.Settings returns, because the LRU retains them.
+// decide answers a query: it reads (building on first use) each core's
+// curve and settles them with core.SettleInto, starting from the
+// baseline a fresh manager holds. Static decides nothing and touches no
+// row. The settings are a fresh slice, as Manager.Settings returns,
+// because the LRU retains them.
 //
 //qosrma:noalloc
 func (t *curveTable) decide(k queryKey) ([]arch.Setting, bool) {
+	scheme := k.scheme()
+	if scheme == core.SchemeStatic {
+		return nil, false
+	}
+	db := t.sn.db
 	var (
 		row      *curveRow
 		rowSlack float64
@@ -92,19 +90,20 @@ func (t *curveTable) decide(k queryKey) ([]arch.Setting, bool) {
 	for i := range t.set {
 		slack := k.slack(i)
 		if row == nil || slack != rowSlack {
-			row, rowSlack = t.row(curveKey{scheme: k.scheme(), model: k.model(), slack: slack}), slack
+			row, rowSlack = t.row(curveKey{scheme: scheme, model: k.model(), slack: slack}), slack
 		}
 		id, phase := k.bench(i), k.phase(i)
 		c := &row.curves[t.sn.pairBase[id]+phase]
 		if len(c.Options) == 0 {
 			// First use of this (bench, phase) under this configuration.
-			// Curve.Core records core 0; the reduction never reads it.
-			FillOracleStats(t.sn.db, id, phase, 0, &t.st)
+			// Curve.Core records core 0; the global step never reads it.
+			FillOracleStats(db, id, phase, 0, &t.st)
 			row.pred.BuildCurveInto(&t.st, row.opt, c)
 		}
 		t.set[i] = c
+		t.misses[i] = db.RecordAt(id, phase).Misses
 	}
-	return core.ReduceInto(nil, t.set, t.sn.db.Sys.LLC.Assoc, &t.ways)
+	return core.SettleInto(baselineSettings(db), &db.Sys, scheme, t.set, t.misses, &t.ways)
 }
 
 // row returns the table row for k, creating an empty one on first use

@@ -11,9 +11,9 @@ import (
 )
 
 // tableSweepQueries builds the curve-table equivalence workload: every
-// coordinated scheme under every model and three slack shapes (none,
-// uniform, per-core mixed including a zero), each over the same seeded
-// co-phase vectors. It returns the wire-form queries with the library
+// scheme under every model and three slack shapes (none, uniform,
+// per-core mixed including a zero), each over the same seeded co-phase
+// vectors. It returns the wire-form queries with the library
 // arguments each one resolves to.
 func tableSweepQueries(t *testing.T, vectors int) ([]DecideQuery, []core.Scheme, []core.ModelKind, [][]float64) {
 	t.Helper()
@@ -40,9 +40,12 @@ func tableSweepQueries(t *testing.T, vectors int) ([]DecideQuery, []core.Scheme,
 		wire   string
 		scheme core.Scheme
 	}{
+		{"static", core.SchemeStatic},
+		{"dvfs", core.SchemeDVFSOnly},
 		{"rm1", core.SchemePartitionOnly},
 		{"rm2", core.SchemeCoordDVFSCache},
 		{"rm3", core.SchemeCoordCoreDVFSCache},
+		{"ucp", core.SchemeUCPDVFS},
 	} {
 		for _, m := range []struct {
 			wire int
@@ -72,8 +75,8 @@ func tableSweepQueries(t *testing.T, vectors int) ([]DecideQuery, []core.Scheme,
 }
 
 // TestCurveTableMatchesLibrary is the curve table's bit-identity wall:
-// with the decision cache off, every coordinated answer comes from the
-// shard curve tables — cold on the first pass, warm on the second — and
+// with the decision cache off, every answer comes from the shard curve
+// tables — cold on the first pass, warm on the second — and
 // must equal both the fresh-manager path (computeFresh) and the
 // sequential library invocation, at one shard and at three.
 func TestCurveTableMatchesLibrary(t *testing.T) {
@@ -126,10 +129,9 @@ func TestCurveTableMatchesLibrary(t *testing.T) {
 }
 
 // TestShardConfigStateBounded: a client sweeping slack values must not
-// grow a shard's manager pool or curve table without limit. 10k distinct
-// slacks through the table path (rm2) and the manager path (dvfs) keep
-// both maps at or under maxShardConfigs, and every answer still equals
-// the library's.
+// grow a shard's curve table without limit. 10k distinct slacks under
+// rm2 and dvfs keep the table at or under maxShardConfigs rows, and
+// every answer still equals the library's.
 func TestShardConfigStateBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k library references")
@@ -164,10 +166,10 @@ func TestShardConfigStateBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		// decide returned after every task's wg.Done, so the worker's
-		// writes to its maps happen-before these reads.
-		if len(sh.mgrs) > maxShardConfigs || len(sh.table.rows) > maxShardConfigs {
-			t.Fatalf("after %d slacks: %d managers, %d table rows (cap %d)",
-				lo+batch, len(sh.mgrs), len(sh.table.rows), maxShardConfigs)
+		// writes to its table happen-before this read.
+		if len(sh.table.rows) > maxShardConfigs {
+			t.Fatalf("after %d slacks: %d table rows (cap %d)",
+				lo+batch, len(sh.table.rows), maxShardConfigs)
 		}
 		for i, res := range results {
 			q := queries[i]

@@ -4,32 +4,28 @@
 // shard picked by the key's hash. The hash is computed once, at fan-out,
 // and the task carries it to the shard's LRU and admission filter. Each
 // shard runs one worker goroutine that drains its queue in micro-batches
-// and owns everything the hot path touches: the decision LRU, the curve
-// table, the per-configuration managers and the per-core IntervalStats
-// scratch. Nothing on the compute path locks.
+// and owns everything the hot path touches: the decision LRU and the
+// curve table. Nothing on the compute path locks.
 //
-// A cache miss is computed one of two ways. The coordinated schemes
-// (RM1/RM2/RM3) read each core's energy curve from the shard's curve
+// A cache miss reads each core's energy curve from the shard's curve
 // table (curvetable.go), which builds a curve the first time its (bench,
-// phase, scheme, model, slack) is needed, and run the way-allocation DP
-// over them; a warm miss allocates only the settings slice it returns.
-// Static, DVFS-only and UCP run core.Manager.DecideAll on a pooled
-// manager. Both paths use the search space and reduction the library
-// uses, so answers are bit-identical to direct library calls regardless
-// of shard count, batch size, cache or table state and arrival order —
-// the service's central invariant, pinned by TestDecideMatchesLibrary,
-// TestCurveTableMatchesLibrary and TestConcurrentDecideDeterministic,
-// and continuously re-verified in production by the self-checker
-// (audit.go).
+// phase, scheme, model, slack) is needed, and settles the curves with
+// core.SettleInto, the global step Manager.DecideAll ends in; a warm miss
+// allocates only the settings slice it returns. Every scheme takes this
+// path, with the library's search space and global step, so answers are
+// bit-identical to direct library calls regardless of shard count, batch
+// size, cache or table state and arrival order — the service's central
+// invariant, pinned by TestDecideMatchesLibrary,
+// TestCurveTableMatchesLibrary and TestConcurrentDecideDeterministic, and
+// continuously re-verified in production by the self-checker (audit.go).
 //
 // Hot-swap discipline: a task carries the snapshot its request resolved
 // against. The worker adopts a newer snapshot the first time it sees one
-// (dropping its LRU, curve table and manager pool, which were derived
-// from the old database); a task older than the shard's snapshot — a
-// request that resolved just before a swap landed — is answered correctly
-// against its own snapshot on the fresh-manager path (computeFresh),
-// bypassing the cache, so mixed-generation traffic never mixes cached
-// state.
+// (dropping its LRU and curve table, which were derived from the old
+// database); a task older than the shard's snapshot — a request that
+// resolved just before a swap landed — is answered correctly against its
+// own snapshot on the fresh-manager path (computeFresh), bypassing the
+// cache, so mixed-generation traffic never mixes cached state.
 package service
 
 import (
@@ -145,14 +141,6 @@ type shard struct {
 	sn    *snapshot
 	lru   *lru
 	table *curveTable
-	mgrs  map[string]*core.Manager // by queryKey.config()
-
-	// Reusable per-core statistics buffers for the manager path; pointers
-	// alias the buffers and are re-filled before every DecideAll (the
-	// manager retains them only until the next call, exactly like the RMA
-	// simulator's per-core buffers).
-	stats    []core.IntervalStats
-	statPtrs []*core.IntervalStats
 
 	// Counters, read by healthz and /metrics concurrently with the worker.
 	tasks      atomic.Uint64
@@ -163,16 +151,12 @@ type shard struct {
 }
 
 // adopt rebuilds the shard-local derived state for a snapshot: a fresh
-// LRU, curve table and manager pool (all encode database content) and
-// statistics scratch sized to the system. Nothing is built eagerly.
+// LRU and curve table (both encode database content). Nothing is built
+// eagerly.
 func (sh *shard) adopt(sn *snapshot) {
-	n := sn.db.Sys.NumCores
 	sh.sn = sn
 	sh.lru = newLRU(sh.srv.opt.CacheSize)
 	sh.table = newCurveTable(sn)
-	sh.mgrs = make(map[string]*core.Manager, 8)
-	sh.stats = make([]core.IntervalStats, n)
-	sh.statPtrs = make([]*core.IntervalStats, n)
 }
 
 // parseScheme resolves the wire name of a scheme.
@@ -307,58 +291,14 @@ func OracleStats(db *simdb.DB, id simdb.BenchID, phase, coreID int) *core.Interv
 	return st
 }
 
-// newManager builds a library manager for a key's configuration over a
-// snapshot's database.
-func newManager(sn *snapshot, k queryKey) *core.Manager {
-	db := sn.db
-	return core.NewManager(core.Config{
-		Sys:    db.Sys,
-		Power:  power.DefaultParams(db.Sys),
-		Scheme: k.scheme(),
-		Model:  k.model(),
-		Slack:  k.slacks(db.Sys.NumCores),
-	})
-}
-
-// manager returns the shard's manager for the configuration, building it
-// on first use. Managers are retained: their per-core curve buffers are
-// the shard-local reuse that keeps repeated decisions allocation-free.
-// The pool holds at most maxShardConfigs managers and is dropped whole
-// when a new configuration would exceed that.
-func (sh *shard) manager(k queryKey) *core.Manager {
-	m, ok := sh.mgrs[string(k.config())]
-	if !ok {
-		if len(sh.mgrs) >= maxShardConfigs {
-			clear(sh.mgrs)
-		}
-		m = newManager(sh.sn, k)
-		sh.mgrs[string(k.config())] = m
-	}
-	return m
-}
-
 // compute runs the library decision for one query against the shard's
-// adopted snapshot: coordinated schemes from the curve table, the others
-// on a pooled manager with the shard's reusable statistics scratch.
+// adopted snapshot, from the curve table.
 //
 //qosrma:noalloc
 func (sh *shard) compute(k queryKey) decideResult {
-	db := sh.sn.db
-	var (
-		settings []arch.Setting
-		ok       bool
-	)
-	if tableScheme(k.scheme()) {
-		settings, ok = sh.table.decide(k)
-	} else {
-		for i := range sh.stats {
-			FillOracleStats(db, k.bench(i), k.phase(i), i, &sh.stats[i])
-			sh.statPtrs[i] = &sh.stats[i]
-		}
-		settings, ok = sh.manager(k).DecideAll(sh.statPtrs)
-	}
+	settings, ok := sh.table.decide(k)
 	if !ok {
-		settings = baselineSettings(db)
+		settings = baselineSettings(sh.sn.db)
 	}
 	return decideResult{decided: ok, settings: settings}
 }
@@ -378,7 +318,13 @@ func computeFresh(sn *snapshot, k queryKey) decideResult {
 		FillOracleStats(db, k.bench(i), k.phase(i), i, &stats[i])
 		ptrs[i] = &stats[i]
 	}
-	settings, ok := newManager(sn, k).DecideAll(ptrs)
+	settings, ok := core.NewManager(core.Config{
+		Sys:    db.Sys,
+		Power:  power.DefaultParams(db.Sys),
+		Scheme: k.scheme(),
+		Model:  k.model(),
+		Slack:  k.slacks(n),
+	}).DecideAll(ptrs)
 	if !ok {
 		settings = baselineSettings(db)
 	}

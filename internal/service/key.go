@@ -2,8 +2,8 @@
 // service. resolveQuery (JSON) and resolveWireQueries (binary) both build
 // it once, at resolve time, and everything downstream reads it through
 // the accessors below: shard routing and the decision LRU hash and store
-// its bytes, the manager pool is keyed by its config() prefix, and the
-// curve table, the fresh-manager path and the self-checker decode it.
+// its bytes, and the curve table, the fresh-manager path and the
+// self-checker decode it.
 // Queries with the same semantics produce the same bytes on either codec,
 // which is what lets the two share shard placement, cached decisions and
 // audit coverage.

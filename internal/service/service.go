@@ -10,9 +10,8 @@
 //
 // The decision path is sharded: queries hash to one of N shards by their
 // binary decide key (key.go), and each shard's single worker owns its decision
-// LRU, its curve table (curvetable.go), its per-configuration managers and
-// its statistics scratch, so the hot path takes no locks and performs no
-// allocation beyond the response. Batching, sharding and caching are
+// LRU and its curve table (curvetable.go), so the hot path takes no locks
+// and performs no allocation beyond the response. Batching, sharding and caching are
 // answer-invariant: the service is bit-identical to direct library calls,
 // and the self-checker continuously re-verifies that invariant in
 // production, degrading /v1/healthz to 503 when an audit fails.

@@ -6,9 +6,9 @@
 // consistent state: a reload can never produce a torn response. In-flight
 // requests finish on the snapshot they started with; requests arriving
 // after the swap see the new one. Shard-local derived state (decision
-// LRU, curve table, manager pool, statistics scratch) is keyed by
-// snapshot generation and rebuilt by the owning worker the first time it
-// sees a newer snapshot — no locks are added to the hot path.
+// LRU and curve table) is keyed by snapshot generation and rebuilt by
+// the owning worker the first time it sees a newer snapshot — no locks
+// are added to the hot path.
 package service
 
 import (
@@ -81,8 +81,8 @@ func pairBaseOf(db *simdb.DB) []int {
 // Swap atomically replaces the serving snapshot with a new one built over
 // db. In-flight requests complete on the snapshot they resolved against;
 // requests arriving after Swap returns see the new database. Each shard
-// worker drops its decision LRU, curve table and manager pool the first
-// time it processes a query of the new generation. Returns the new
+// worker drops its decision LRU and curve table the first time it
+// processes a query of the new generation. Returns the new
 // snapshot's content hash and generation.
 func (s *Server) Swap(db *simdb.DB, source string) (hash string, gen uint64) {
 	sn := s.newSnapshot(db, source)
