@@ -240,24 +240,17 @@ func (c *Curve) epiRow(row []float64) {
 // kernel behind both the left-to-right fold (AllocateWaysInto) and the
 // paper's reduction tree (AllocateWaysTree): for every total W it writes
 // out[W] = min over r in 0..W of a[W-r] + b[r], and choice[W] = the r
-// attaining it. The smallest r wins ties; +Inf entries of a or b are
-// never combined, and choice[W] is -1 (out[W] +Inf) when no split of W
-// is finite. a and b must be at least len(out) long.
+// attaining it. The smallest r wins ties, and choice[W] is -1 (out[W]
+// +Inf) when no split of W is finite. An infeasible (+Inf) entry needs
+// no test of its own: any sum with a +Inf operand is +Inf or NaN, and
+// neither compares below best. a and b must be at least len(out) long.
 //
 //qosrma:noalloc
 func minPlus(out []float64, choice []int, a, b []float64) {
 	for W := range out {
 		best, arg := math.Inf(1), -1
 		for r := 0; r <= W; r++ {
-			br := b[r]
-			if math.IsInf(br, 1) {
-				continue
-			}
-			aw := a[W-r]
-			if math.IsInf(aw, 1) {
-				continue
-			}
-			if sum := aw + br; sum < best {
+			if sum := a[W-r] + b[r]; sum < best {
 				best, arg = sum, r
 			}
 		}

@@ -199,6 +199,24 @@ func TestAllocateWaysInfeasible(t *testing.T) {
 	}
 }
 
+// TestMinPlusInfeasibleAndTies pins the kernel's contract on a hand
+// example: +Inf entries never combine, a total with no finite split
+// reads +Inf with choice -1, and the smallest r wins a tie.
+func TestMinPlusInfeasibleAndTies(t *testing.T) {
+	inf := math.Inf(1)
+	a := []float64{inf, 1, 2, inf}
+	b := []float64{inf, 1, 2, inf}
+	out, choice := make([]float64, 4), make([]int, 4)
+	minPlus(out, choice, a, b)
+	want := []float64{inf, inf, 2, 3}
+	wantChoice := []int{-1, -1, 1, 1} // W=3: a[2]+b[1] = a[1]+b[2] = 3
+	for W := range out {
+		if out[W] != want[W] || choice[W] != wantChoice[W] {
+			t.Fatalf("W=%d: out %v choice %d, want %v choice %d", W, out[W], choice[W], want[W], wantChoice[W])
+		}
+	}
+}
+
 func TestSettingsFromCurves(t *testing.T) {
 	rng := stats.NewRNG(9)
 	curves := []*Curve{randomCurve(rng, 8, 7), randomCurve(rng, 8, 7)}

@@ -344,7 +344,8 @@ func (m *Manager) DecideAll(st []*IntervalStats) ([]arch.Setting, bool) {
 	case SchemePartitionOnly, SchemeCoordDVFSCache, SchemeCoordCoreDVFSCache:
 		// Rebuild every fresh curve and reuse the last curves of the other
 		// cores (thesis Fig. 3.1/3.2); vacant cores stand in with the
-		// shared idle curve.
+		// shared idle curve. Of the sequential order's reductions only the
+		// last is observable, and it runs over these same curves.
 		for i, s := range st {
 			if s != nil && m.occupied[i] {
 				m.build(i, s, i)
@@ -424,7 +425,8 @@ func SettleInto(dst []arch.Setting, sys *arch.SystemConfig, scheme Scheme, curve
 				continue
 			}
 			o := c.Options[ways]
-			if decided = o.Feasible; decided {
+			decided = o.Feasible
+			if decided {
 				dst[i] = arch.Setting{Size: o.Size, FreqIdx: o.FreqIdx, Ways: ways}
 			}
 		}

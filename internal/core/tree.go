@@ -29,9 +29,8 @@ type treeNode struct {
 	choice      []int // ways granted to the left subtree per total
 }
 
-// reducePair combines two nodes. With b's row first, minPlus's choice is
-// the ways of the left subtree, in the scan order the node has always
-// used.
+// reducePair combines two nodes. Passing b's row first makes minPlus's
+// choice the ways granted to the left subtree.
 func reducePair(a, b *treeNode, totalWays int) *treeNode {
 	n := &treeNode{
 		curve:  make([]float64, totalWays+1),
